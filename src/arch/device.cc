@@ -15,26 +15,45 @@ namespace qompress {
 
 namespace {
 
-/** Largest device a calibration may describe; matches the topology
- *  parser's cap so the two untrusted-input paths agree. */
-constexpr int kMaxCalibrationUnits = 16384;
 constexpr int kMaxCalibrationVersion = 1'000'000'000;
+
+/** The registry's names, sorted (the map's order). */
+std::vector<std::string>
+namesOf(const std::map<std::string, Device> &devices)
+{
+    std::vector<std::string> out;
+    out.reserve(devices.size());
+    for (const auto &[name, dev] : devices) {
+        (void)dev;
+        out.push_back(name);
+    }
+    return out;
+}
+
+/** The registry entry under @p name (const or not, as @p devices is);
+ *  FatalError listing every registered name when there is none. */
+template <class DeviceMap>
+auto &
+findDevice(DeviceMap &devices, const std::string &name)
+{
+    const auto it = devices.find(name);
+    QFATAL_IF(it == devices.end(), "unknown device '", name,
+              "'; registered devices: ", join(namesOf(devices), ", "));
+    return it->second;
+}
 
 /** Strict non-negative integer token: digits only, bounded width. */
 int
 calInt(const std::string &tok, const char *field, const std::string &what,
        int lineno, int max_value)
 {
-    QFATAL_IF(tok.empty() || tok.size() > 10 ||
-                  tok.find_first_not_of("0123456789") != std::string::npos,
-              "calibration ", what, " line ", lineno, ": malformed ",
+    const auto v = parseDigits(tok, 10);
+    QFATAL_IF(!v, "calibration ", what, " line ", lineno, ": malformed ",
               field, " '", tok, "'");
-    errno = 0;
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    QFATAL_IF(errno != 0 || v > max_value, "calibration ", what, " line ",
-              lineno, ": ", field, " ", tok, " out of range [0, ",
-              max_value, "]");
-    return static_cast<int>(v);
+    QFATAL_IF(*v > static_cast<std::uint64_t>(max_value), "calibration ",
+              what, " line ", lineno, ": ", field, " ", tok,
+              " out of range [0, ", max_value, "]");
+    return static_cast<int>(*v);
 }
 
 /** Strict finite double token (full-token parse; NaN/inf rejected). */
@@ -105,9 +124,9 @@ DeviceCalibration::uniform(std::string device, int units,
                            double t1_qubit_ns, double t1_ququart_ns,
                            double readout_error)
 {
-    QFATAL_IF(units < 1 || units > kMaxCalibrationUnits,
+    QFATAL_IF(units < 1 || units > Topology::kMaxUnits,
               "calibration unit count ", units, " out of range [1, ",
-              kMaxCalibrationUnits, "]");
+              Topology::kMaxUnits, "]");
     DeviceCalibration cal;
     cal.device = std::move(device);
     cal.t1QubitNs.assign(static_cast<std::size_t>(units), t1_qubit_ns);
@@ -177,7 +196,7 @@ DeviceCalibration::parse(const std::string &text, const std::string &what)
             QFATAL_IF(tok.size() != 2, "calibration ", what, " line ",
                       lineno, ": expected 'units <n>'");
             units = calInt(tok[1], "units", what, lineno,
-                           kMaxCalibrationUnits);
+                           Topology::kMaxUnits);
             QFATAL_IF(units < 1, "calibration ", what, " line ", lineno,
                       ": need >= 1 unit");
             cal.t1QubitNs.assign(static_cast<std::size_t>(units), 0.0);
@@ -193,7 +212,7 @@ DeviceCalibration::parse(const std::string &text, const std::string &what)
                       lineno,
                       ": expected 'unit <id> t1q <ns> t1qq <ns> ro <e>'");
             const int u = calInt(tok[1], "unit id", what, lineno,
-                                 kMaxCalibrationUnits);
+                                 Topology::kMaxUnits);
             QFATAL_IF(u >= units, "calibration ", what, " line ", lineno,
                       ": unit ", u, " out of range [0, ", units, ")");
             QFATAL_IF(seen_unit[static_cast<std::size_t>(u)],
@@ -221,9 +240,9 @@ DeviceCalibration::parse(const std::string &text, const std::string &what)
                       lineno,
                       ": expected 'edge <u> <v> fid <f> dur <d>'");
             const int u = calInt(tok[1], "edge unit", what, lineno,
-                                 kMaxCalibrationUnits);
+                                 Topology::kMaxUnits);
             const int v = calInt(tok[2], "edge unit", what, lineno,
-                                 kMaxCalibrationUnits);
+                                 Topology::kMaxUnits);
             QFATAL_IF(u >= units || v >= units, "calibration ", what,
                       " line ", lineno, ": edge (", u, ", ", v,
                       ") names a unit out of range [0, ", units, ")");
@@ -360,13 +379,7 @@ std::vector<std::string>
 DeviceRegistry::names() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::vector<std::string> out;
-    out.reserve(devices_.size());
-    for (const auto &[name, dev] : devices_) {
-        (void)dev;
-        out.push_back(name);
-    }
-    return out;
+    return namesOf(devices_);
 }
 
 std::vector<DeviceInfo>
@@ -394,18 +407,7 @@ Device
 DeviceRegistry::get(const std::string &name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto it = devices_.find(name);
-    if (it == devices_.end()) {
-        std::vector<std::string> valid;
-        valid.reserve(devices_.size());
-        for (const auto &[n, dev] : devices_) {
-            (void)dev;
-            valid.push_back(n);
-        }
-        QFATAL("unknown device '", name, "'; registered devices: ",
-               join(valid, ", "));
-    }
-    return it->second;
+    return findDevice(devices_, name);
 }
 
 void
@@ -435,18 +437,7 @@ DeviceRegistry::setCalibration(const std::string &name,
                                DeviceCalibration cal)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto it = devices_.find(name);
-    if (it == devices_.end()) {
-        std::vector<std::string> valid;
-        valid.reserve(devices_.size());
-        for (const auto &[n, dev] : devices_) {
-            (void)dev;
-            valid.push_back(n);
-        }
-        QFATAL("unknown device '", name, "'; registered devices: ",
-               join(valid, ", "));
-    }
-    Device &dev = it->second;
+    Device &dev = findDevice(devices_, name);
     QFATAL_IF(!cal.device.empty() && cal.device != name, "calibration is "
               "for device '", cal.device, "', not '", name, "'");
     QFATAL_IF(cal.numUnits() != dev.topology.numUnits(), "calibration "

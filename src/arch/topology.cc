@@ -1,9 +1,7 @@
 #include "arch/topology.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -16,37 +14,19 @@ namespace qompress {
 
 namespace {
 
-/** Caps for untrusted coupling-list input (fromText/named). */
-constexpr int kMaxTopologyUnits = 16384;
+/** Edge cap for untrusted coupling-list input (fromText). */
 constexpr std::size_t kMaxTopologyEdges = 262144;
 
 /** Strict digit-only unit index with the cap applied. */
 UnitId
 topoUnit(const std::string &tok, const std::string &what, int lineno)
 {
-    QFATAL_IF(tok.empty() || tok.size() > 6 ||
-                  tok.find_first_not_of("0123456789") != std::string::npos,
-              "topology ", what, " line ", lineno,
+    const auto v = parseDigits(tok, 6);
+    QFATAL_IF(!v, "topology ", what, " line ", lineno,
               ": malformed unit index '", tok, "'");
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    QFATAL_IF(v >= kMaxTopologyUnits, "topology ", what, " line ", lineno,
-              ": unit ", v, " exceeds the cap of ", kMaxTopologyUnits - 1);
-    return static_cast<UnitId>(v);
-}
-
-/** Strict digit-only generator parameter ("ring:N", "grid:RxC"...). */
-int
-namedParam(const std::string &tok, const std::string &name)
-{
-    QFATAL_IF(tok.empty() || tok.size() > 6 ||
-                  tok.find_first_not_of("0123456789") != std::string::npos,
-              "malformed parameter '", tok, "' in topology name '", name,
-              "'");
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    QFATAL_IF(v < 1 || v > kMaxTopologyUnits, "parameter ", v,
-              " in topology name '", name, "' out of range [1, ",
-              kMaxTopologyUnits, "]");
-    return static_cast<int>(v);
+    QFATAL_IF(*v >= Topology::kMaxUnits, "topology ", what, " line ", lineno,
+              ": unit ", *v, " exceeds the cap of ", Topology::kMaxUnits - 1);
+    return static_cast<UnitId>(*v);
 }
 
 } // namespace
@@ -108,32 +88,6 @@ Topology::gridExplicit(int rows, int cols)
 }
 
 Topology
-Topology::heavyHex65()
-{
-    Graph g(65);
-    // Qubit rows (inclusive ranges) as on the IBM 65-qubit devices.
-    const std::vector<std::pair<int, int>> rows = {
-        {0, 9}, {13, 23}, {27, 37}, {41, 51}, {55, 64},
-    };
-    for (const auto &[lo, hi] : rows) {
-        for (int q = lo; q < hi; ++q)
-            g.addEdge(q, q + 1);
-    }
-    // Bridge qubits: {bridge, upper-row qubit, lower-row qubit}.
-    const std::vector<std::array<int, 3>> bridges = {
-        {10, 0, 13},  {11, 4, 17},  {12, 8, 21},
-        {24, 15, 29}, {25, 19, 33}, {26, 23, 37},
-        {38, 27, 41}, {39, 31, 45}, {40, 35, 49},
-        {52, 43, 56}, {53, 47, 60}, {54, 51, 64},
-    };
-    for (const auto &[b, up, down] : bridges) {
-        g.addEdge(b, up);
-        g.addEdge(b, down);
-    }
-    return Topology(std::move(g), "heavyhex_65");
-}
-
-Topology
 Topology::heavyHex(int rows, int row_len)
 {
     QFATAL_IF(rows < 3 || rows % 2 == 0,
@@ -144,9 +98,9 @@ Topology::heavyHex(int rows, int row_len)
 
     // Numbering interleaves each qubit row with the bridge units below
     // it: row 0, bridges(0,1), row 1, bridges(1,2), ... -- the IBM
-    // heavy-hex numbering heavyHex65() hardcodes. The first and last
-    // rows are one unit shorter: the first omits the final column, the
-    // last omits column 0.
+    // heavy-hex numbering. The first and last rows are one unit
+    // shorter: the first omits the final column, the last omits
+    // column 0.
     const auto row_units = [&](int r) {
         return (r == 0 || r == rows - 1) ? row_len - 1 : row_len;
     };
@@ -171,9 +125,9 @@ Topology::heavyHex(int rows, int row_len)
         }
     }
     const int total = next;
-    QFATAL_IF(total > kMaxTopologyUnits, "heavyHex(", rows, ", ",
+    QFATAL_IF(total > kMaxUnits, "heavyHex(", rows, ", ",
               row_len, ") would have ", total,
-              " units, exceeding the cap of ", kMaxTopologyUnits);
+              " units, exceeding the cap of ", kMaxUnits);
 
     // Unit at (row r, column c); the short first/last rows shift.
     const auto unit_at = [&](int r, int c) {
@@ -183,10 +137,10 @@ Topology::heavyHex(int rows, int row_len)
     };
 
     Graph g(total);
-    // Row chains first, then bridges, matching heavyHex65()'s
-    // insertion order exactly (adjacency-list order feeds tie-breaks
-    // in Dijkstra, so heavyHex(5, 11) must BUILD the same graph, not
-    // just an isomorphic one).
+    // Row chains first, then bridges: the insertion order of the IBM
+    // coupling maps (adjacency-list order feeds tie-breaks in Dijkstra,
+    // so heavyHex(5, 11) must BUILD the 65-unit device's graph, not
+    // just an isomorphic one; test_device pins it edge by edge).
     for (int r = 0; r < rows; ++r) {
         const int lo = row_start[static_cast<std::size_t>(r)];
         for (int q = lo; q + 1 < lo + row_units(r); ++q)
@@ -224,52 +178,18 @@ Topology::falcon27()
 }
 
 Topology
-Topology::named(const std::string &name)
+Topology::sized(const std::string &kind, int units)
 {
-    if (name == "falcon27")
-        return falcon27();
-    if (name == "heavyhex23")
-        return heavyHex(3, 7);
-    if (name == "heavyhex65")
+    if (kind == "grid")
+        return grid(units);
+    if (kind == "heavyhex")
         return heavyHex65();
-    if (name == "heavyhex127")
-        return heavyHex(7, 15);
-
-    const auto colon = name.find(':');
-    if (colon != std::string::npos && colon > 0 &&
-        colon + 1 < name.size()) {
-        const std::string kind = name.substr(0, colon);
-        const std::string arg = name.substr(colon + 1);
-        if (kind == "ring")
-            return ring(namedParam(arg, name));
-        if (kind == "line")
-            return line(namedParam(arg, name));
-        if (kind == "complete") {
-            const int n = namedParam(arg, name);
-            QFATAL_IF(n > 512, "complete:", n,
-                      " is too dense; the cap is complete:512");
-            return complete(n);
-        }
-        if (kind == "grid" || kind == "heavyhex") {
-            const auto x = arg.find('x');
-            QFATAL_IF(x == std::string::npos || x == 0 ||
-                          x + 1 >= arg.size(),
-                      "topology name '", name, "' needs the form ", kind,
-                      ":<rows>x<cols>");
-            const int a = namedParam(arg.substr(0, x), name);
-            const int b = namedParam(arg.substr(x + 1), name);
-            if (kind == "heavyhex")
-                return heavyHex(a, b);
-            QFATAL_IF(a > kMaxTopologyUnits / b, "grid ", a, "x", b,
-                      " exceeds the cap of ", kMaxTopologyUnits,
-                      " units");
-            return gridExplicit(a, b);
-        }
-    }
-    QFATAL("unknown topology '", name,
-           "'; valid names: falcon27, heavyhex23, heavyhex65, "
-           "heavyhex127, ring:<n>, line:<n>, grid:<rows>x<cols>, "
-           "complete:<n>, heavyhex:<rows>x<row_len>");
+    if (kind == "ring")
+        return ring(std::max(units, 3));
+    if (kind == "line")
+        return line(std::max(units, 2));
+    QFATAL("unknown topology '", kind,
+           "' (expected grid|heavyhex|ring|line)");
 }
 
 Topology

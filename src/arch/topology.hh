@@ -25,6 +25,11 @@ namespace qompress {
 class Topology
 {
   public:
+    /** Unit cap for devices sized by untrusted input: coupling-list
+     *  and calibration text, heavyHex parameters, and the tools'
+     *  --units/--max-units flags. */
+    static constexpr int kMaxUnits = 16384;
+
     /** Wrap an explicit coupling graph. */
     Topology(Graph coupling, std::string name);
 
@@ -64,15 +69,15 @@ class Topology
      * generation, the paper's "Ithaca" stand-in): five qubit rows of
      * 10/11/11/11/10 joined by 12 bridge qubits; 65 units, 72 edges.
      */
-    static Topology heavyHex65();
+    static Topology heavyHex65() { return heavyHex(5, 11); }
 
     /**
      * The general heavy-hex family: @p rows qubit rows (first and last
      * one unit shorter) of length @p row_len joined by bridge units.
      * Valid parameters are rows odd >= 3 and row_len >= 7 with
      * row_len % 4 == 3 (the hexagonal tiling constraint); anything
-     * else is a FatalError. heavyHex(5, 11) reproduces heavyHex65()
-     * exactly (same units, numbering, and edges); heavyHex(7, 15) is
+     * else is a FatalError. heavyHex(5, 11) is the IBM 65-qubit
+     * device (same units, numbering, and edges); heavyHex(7, 15) is
      * the 127-unit IBM Eagle shape; heavyHex(3, 7) a 23-unit Falcon-
      * class lattice.
      */
@@ -83,13 +88,13 @@ class Topology
     static Topology falcon27();
 
     /**
-     * Generator lookup by name: fixed shapes ("falcon27",
-     * "heavyhex23", "heavyhex65", "heavyhex127") and parametric forms
-     * ("ring:N", "line:N", "grid:RxC", "complete:N", "heavyhex:RxL").
-     * @throws FatalError for an unknown name, listing the valid ones
-     * (mirrors makeStrategy).
+     * A device of kind "grid", "heavyhex", "ring" or "line" for
+     * @p units units: grid(units), the 65-unit heavy-hex lattice
+     * whatever @p units, ring(max(units, 3)), line(max(units, 2)).
+     * Named devices live in the DeviceRegistry (arch/device.hh).
+     * @throws FatalError for an unknown kind, listing the valid ones.
      */
-    static Topology named(const std::string &name);
+    static Topology sized(const std::string &kind, int units);
 
     /** Cycle of @p n units. */
     static Topology ring(int n);

@@ -2,7 +2,10 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
+
+#include "common/error.hh"
 
 namespace qompress {
 
@@ -58,6 +61,45 @@ formatSig(double v, int digits)
     os.precision(digits);
     os << v;
     return os.str();
+}
+
+std::optional<std::uint64_t>
+parseDigits(const std::string &s, std::size_t max_digits)
+{
+    if (s.empty() || s.size() > max_digits)
+        return std::nullopt;
+    std::uint64_t v = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    return v;
+}
+
+std::uint64_t
+parseIntFlag(const std::string &value, const char *flag, std::uint64_t lo,
+             std::uint64_t hi)
+{
+    const auto v = parseDigits(value);
+    QFATAL_IF(!v || *v < lo || *v > hi, flag, " expects an integer in [",
+              lo, ", ", hi, "], got '", value, "'");
+    return *v;
+}
+
+double
+parseRealFlag(const std::string &value, const char *flag, double lo,
+              double hi)
+{
+    char *end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    QFATAL_IF(value.empty() ||
+                  value.find_first_not_of("0123456789.eE+-") !=
+                      std::string::npos ||
+                  end != value.c_str() + value.size() || v < lo || v > hi,
+              flag, " expects a number in [", lo, ", ", hi, "], got '",
+              value, "'");
+    return v;
 }
 
 } // namespace qompress

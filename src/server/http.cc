@@ -192,15 +192,13 @@ tryParseHttpRequest(std::string &buffer, HttpRequest &out,
     std::size_t bodyLen = 0;
     if (const auto it = out.headers.find("content-length");
         it != out.headers.end()) {
-        const std::string &v = it->second;
-        if (v.empty() ||
-            v.find_first_not_of("0123456789") != std::string::npos ||
-            v.size() > 9) {
+        const auto v = parseDigits(it->second, 9);
+        if (!v) {
             errorStatus = 400;
             error = "malformed Content-Length";
             return HttpParseStatus::Error;
         }
-        bodyLen = static_cast<std::size_t>(std::stoul(v));
+        bodyLen = static_cast<std::size_t>(*v);
         if (bodyLen > maxBody) {
             errorStatus = 413;
             error = "body exceeds " + std::to_string(maxBody) + " bytes";

@@ -60,32 +60,13 @@ errorReply(int status, const std::string &type, const std::string &message)
     return r;
 }
 
-Topology
-makeTopology(const std::string &kind, int units, int maxUnits)
-{
-    QFATAL_IF(units < 1 || units > maxUnits, "topology size ", units,
-              " out of range [1, ", maxUnits, "]");
-    if (kind == "grid")
-        return Topology::grid(units);
-    if (kind == "heavyhex")
-        return Topology::heavyHex65();
-    if (kind == "ring")
-        return Topology::ring(units < 3 ? 3 : units);
-    if (kind == "line")
-        return Topology::line(units < 2 ? 2 : units);
-    QFATAL("unknown topology '", kind,
-           "' (expected grid|heavyhex|ring|line)");
-}
-
 /** Strict positive-integer query parameter. */
 int
 intParam(const std::string &value, const char *what)
 {
-    QFATAL_IF(value.empty() ||
-              value.find_first_not_of("0123456789") != std::string::npos ||
-              value.size() > 7,
-              "malformed ", what, " '", value, "'");
-    return std::atoi(value.c_str());
+    const auto v = parseDigits(value, 7);
+    QFATAL_IF(!v, "malformed ", what, " '", value, "'");
+    return static_cast<int>(*v);
 }
 
 std::string
@@ -512,10 +493,11 @@ QompressServer::handleCompile(const HttpRequest &req)
             const std::string u = req.queryParam("units", "");
             if (!u.empty())
                 units = intParam(u, "units");
-            Topology topo =
-                makeTopology(topoKind, units, opts_.maxUnits);
-            return CompileRequest::forCircuit(std::move(c),
-                                              std::move(topo), strategy);
+            QFATAL_IF(units < 1 || units > opts_.maxUnits,
+                      "topology size ", units, " out of range [1, ",
+                      opts_.maxUnits, "]");
+            return CompileRequest::forCircuit(
+                std::move(c), Topology::sized(topoKind, units), strategy);
         }();
         r.fullCompile = fullCompile;
         reqs.push_back(std::move(r));

@@ -94,8 +94,11 @@ CompileRequest
 CompileRequest::forCircuit(Circuit c, Topology topo, std::string strategy,
                            CompilerConfig cfg, GateLibrary lib)
 {
-    CompileRequest req{std::move(topo), std::move(strategy),
-                       std::move(lib), cfg, std::move(c), "", 0};
+    CompileRequest req(std::move(topo));
+    req.strategy = std::move(strategy);
+    req.library = std::move(lib);
+    req.config = std::move(cfg);
+    req.circuit = std::move(c);
     return req;
 }
 
@@ -104,9 +107,12 @@ CompileRequest::forFamily(std::string family, int size, Topology topo,
                           std::string strategy, CompilerConfig cfg,
                           GateLibrary lib)
 {
-    CompileRequest req{std::move(topo), std::move(strategy),
-                       std::move(lib), cfg, std::nullopt,
-                       std::move(family), size};
+    CompileRequest req(std::move(topo));
+    req.strategy = std::move(strategy);
+    req.library = std::move(lib);
+    req.config = std::move(cfg);
+    req.family = std::move(family);
+    req.size = size;
     return req;
 }
 
@@ -119,8 +125,9 @@ CompileRequest::forDevice(Circuit c, std::string device,
     // registered device's topology (and calibration) before anything
     // reads it. CompileRequest has no unset-topology state because
     // Topology is not default-constructible.
-    CompileRequest req{Topology::line(1), std::move(strategy),
-                       std::move(lib), cfg, std::move(c), "", 0};
+    CompileRequest req =
+        forCircuit(std::move(c), Topology::line(1), std::move(strategy),
+                   cfg, std::move(lib));
     req.device = std::move(device);
     return req;
 }
@@ -152,7 +159,9 @@ CompileHandle::get() const
 // ------------------------------------------------------------------
 
 CompilerService::CompilerService(ServiceOptions opts)
-    : opts_(std::move(opts))
+    : opts_(std::move(opts)),
+      memo_(opts_.cacheCapacity, opts_.cacheBytesCapacity),
+      templates_(opts_.templateCacheCapacity)
 {
     if (!opts_.storePath.empty()) {
         StoreOptions sopts;
@@ -315,13 +324,11 @@ CompilerService::compileImpl(const CompileRequest &req)
     {
         std::lock_guard<std::mutex> lk(mu_);
         ++requests_;
-        memo = opts_.cacheCapacity > 0;
+        memo = memo_.capacity() > 0;
         if (memo) {
-            auto it = index_.find(key);
-            if (it != index_.end()) {
+            if (const CompileArtifact *hit = memo_.get(key)) {
                 ++hits_;
-                lru_.splice(lru_.begin(), lru_, it->second);
-                return it->second->artifact;
+                return *hit;
             }
             auto jt = inflight_.find(key);
             if (jt != inflight_.end()) {
@@ -348,12 +355,9 @@ CompilerService::compileImpl(const CompileRequest &req)
                 tkey = key;
                 tkey.circuit =
                     structuralCircuitFingerprint(*circuit).value;
-                auto tt = templateIndex_.find(tkey);
-                if (tt != templateIndex_.end()) {
+                if (const TemplatePtr *hit = templates_.get(tkey)) {
                     ++templateHits_;
-                    templateLru_.splice(templateLru_.begin(),
-                                        templateLru_, tt->second);
-                    tmpl = tt->second->second;
+                    tmpl = *hit;
                 } else {
                     // Eligible but no template; whether this request
                     // lands as a diskHit or a miss is only knowable
@@ -467,22 +471,12 @@ CompilerService::compileImpl(const CompileRequest &req)
         }
         if (wrote)
             ++diskWrites_;
-        if (fresh && !templateIndex_.count(tkey)) {
-            // Keep-first on a racing extraction: templates of the same
-            // structure are interchangeable, so the loser is dropped.
-            templateLru_.emplace_front(tkey, std::move(fresh));
-            templateIndex_[tkey] = templateLru_.begin();
-            while (templateLru_.size() > opts_.templateCacheCapacity) {
-                templateIndex_.erase(templateLru_.back().first);
-                templateLru_.pop_back();
-                ++templateEvictions_;
-            }
-        }
+        // Keep-first on a racing extraction: templates of the same
+        // structure are interchangeable, so the loser is dropped.
+        if (fresh)
+            templates_.insert(tkey, std::move(fresh));
         if (memo) {
-            lru_.push_front(LruEntry{key, artifact, bytes});
-            bytesInUse_ += bytes;
-            index_[key] = lru_.begin();
-            evictOverCapacityLocked();
+            memo_.insert(key, artifact, bytes);
             prom.set_value(artifact);
             inflight_.erase(key);
         }
@@ -548,28 +542,6 @@ CompilerService::releaseContext(std::unique_ptr<PooledContext> pc)
     idle_.push_back(std::move(pc));
     while (idle_.size() > opts_.contextPoolCapacity)
         idle_.erase(idle_.begin()); // oldest idle context retires
-}
-
-void
-CompilerService::evictOverCapacityLocked()
-{
-    while (lru_.size() > opts_.cacheCapacity) {
-        bytesInUse_ -= lru_.back().bytes;
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++evictions_;
-    }
-    if (opts_.cacheBytesCapacity == 0)
-        return;
-    // Byte pressure evicts in the same LRU order but under its own
-    // counter. The !empty() guard makes an artifact larger than the
-    // whole budget simply not resident, rather than an infinite loop.
-    while (bytesInUse_ > opts_.cacheBytesCapacity && !lru_.empty()) {
-        bytesInUse_ -= lru_.back().bytes;
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++sizeEvictions_;
-    }
 }
 
 bool
@@ -651,20 +623,20 @@ CompilerService::stats() const
     s.hits = hits_;
     s.misses = misses_;
     s.coalesced = coalesced_;
-    s.evictions = evictions_;
-    s.cacheSize = lru_.size();
-    s.cacheCapacity = opts_.cacheCapacity;
+    s.evictions = memo_.evictions();
+    s.cacheSize = memo_.size();
+    s.cacheCapacity = memo_.capacity();
     s.contextsCreated = contextsCreated_;
     s.contextsReused = contextsReused_;
     s.pooledContexts = idle_.size();
     s.templateHits = templateHits_;
     s.templateMisses = templateMisses_;
-    s.templateEvictions = templateEvictions_;
-    s.templateSize = templateLru_.size();
-    s.templateCapacity = opts_.templateCacheCapacity;
-    s.sizeEvictions = sizeEvictions_;
-    s.bytesInUse = bytesInUse_;
-    s.bytesCapacity = opts_.cacheBytesCapacity;
+    s.templateEvictions = templates_.evictions();
+    s.templateSize = templates_.size();
+    s.templateCapacity = templates_.capacity();
+    s.sizeEvictions = memo_.sizeEvictions();
+    s.bytesInUse = memo_.bytes();
+    s.bytesCapacity = memo_.byteBudget();
     s.diskHits = diskHits_;
     s.diskWrites = diskWrites_;
     s.storeErrors = storeErrors_;
@@ -684,12 +656,9 @@ void
 CompilerService::clearCache()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    lru_.clear();
-    index_.clear();
+    memo_.clear();
     idle_.clear();
-    templateLru_.clear();
-    templateIndex_.clear();
-    bytesInUse_ = 0;
+    templates_.clear();
     // store_ deliberately untouched: the disk tier exists to survive
     // in-memory cache drops and process restarts.
     // In-flight compiles keep their local promises; entries left in
@@ -702,8 +671,7 @@ void
 CompilerService::setCacheCapacity(std::size_t capacity)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    opts_.cacheCapacity = capacity;
-    evictOverCapacityLocked();
+    memo_.setCapacity(capacity);
 }
 
 } // namespace qompress

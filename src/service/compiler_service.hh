@@ -71,7 +71,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -83,6 +82,7 @@
 #include <chrono>
 
 #include "arch/device.hh"
+#include "common/lru_cache.hh"
 #include "common/thread_pool.hh"
 #include "compiler/pipeline.hh"
 #include "compiler/rebind.hh"
@@ -159,6 +159,10 @@ struct CompileRequest
      *  compiles, so this is a measurement/debugging knob, not a
      *  correctness one.) */
     bool fullCompile = false;
+
+    /** Every other field starts at its default; the factories below
+     *  set them by name. */
+    explicit CompileRequest(Topology topo) : topology(std::move(topo)) {}
 
     /** Request for an explicit circuit. */
     static CompileRequest forCircuit(Circuit c, Topology topo,
@@ -432,20 +436,7 @@ class CompilerService
         }
     };
 
-    /** Memo entry. @ref bytes is the serialized-size charge (0 when
-     *  charging is off; see ServiceStats::bytesInUse). */
-    struct LruEntry
-    {
-        RequestKey key;
-        CompileArtifact artifact;
-        std::size_t bytes = 0;
-    };
-
-    /** Template-tier entry. The key reuses RequestKey with the
-     *  `circuit` field holding the STRUCTURAL fingerprint instead of
-     *  the exact one -- same non-circuit components, same hash. */
     using TemplatePtr = std::shared_ptr<const CompiledTemplate>;
-    using TemplateEntry = std::pair<RequestKey, TemplatePtr>;
 
     CompileArtifact compileImpl(const CompileRequest &req);
     CompileArtifact compileUncached(const CompileRequest &req,
@@ -468,7 +459,6 @@ class CompilerService
     std::unique_ptr<PooledContext> acquireContext(const CompileRequest &req,
                                                   std::uint64_t ctx_fp);
     void releaseContext(std::unique_ptr<PooledContext> pc);
-    void evictOverCapacityLocked();
 
     /** Lanes -> pool: nullptr means run inline. Pools are created on
      *  demand, owned by the service, and joined at destruction (which
@@ -481,19 +471,17 @@ class CompilerService
     DeviceRegistry devices_;
 
     mutable std::mutex mu_; ///< guards cache, context pool, counters
-    std::list<LruEntry> lru_; ///< front = most recently used
-    std::unordered_map<RequestKey, std::list<LruEntry>::iterator,
-                       RequestKeyHash>
-        index_;
+    /** Memo tier; each artifact is charged its serialized size (0
+     *  when charging is off; see ServiceStats::bytesInUse). */
+    LruCache<RequestKey, CompileArtifact, RequestKeyHash> memo_;
+    /** Template tier. The key reuses RequestKey with the `circuit`
+     *  field holding the STRUCTURAL fingerprint instead of the exact
+     *  one -- same non-circuit components, same hash. */
+    LruCache<RequestKey, TemplatePtr, RequestKeyHash> templates_;
     std::unordered_map<RequestKey, std::shared_future<CompileArtifact>,
                        RequestKeyHash>
         inflight_;
     std::vector<std::unique_ptr<PooledContext>> idle_;
-
-    std::list<TemplateEntry> templateLru_; ///< front = most recently used
-    std::unordered_map<RequestKey, std::list<TemplateEntry>::iterator,
-                       RequestKeyHash>
-        templateIndex_;
 
     /** The disk tier; null when ServiceOptions::storePath is empty.
      *  The store has its own internal mutex and is only ever called
@@ -505,10 +493,8 @@ class CompilerService
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t coalesced_ = 0;
-    std::uint64_t evictions_ = 0;
     std::uint64_t templateHits_ = 0;
     std::uint64_t templateMisses_ = 0;
-    std::uint64_t templateEvictions_ = 0;
     std::uint64_t diskHits_ = 0;
     std::uint64_t diskWrites_ = 0;
     std::uint64_t storeErrors_ = 0;
@@ -518,8 +504,6 @@ class CompilerService
     bool tierDegraded_ = false;
     bool probeInFlight_ = false; ///< one half-open probe at a time
     std::chrono::steady_clock::time_point degradedSince_{};
-    std::uint64_t sizeEvictions_ = 0;
-    std::size_t bytesInUse_ = 0;
     std::uint64_t contextsCreated_ = 0;
     std::uint64_t contextsReused_ = 0;
 

@@ -220,9 +220,10 @@ TEST(Scheduler, GatesOnOneUnitSerialize)
     Circuit c2(2, "serial2");
     c2.x(0);
     c2.cx(0, 1);
+    CompilerConfig cfg;
+    cfg.chargeInitialEnc = false;
     const CompileResult res = compileWithPairs(
-        c2, Topology::line(2), kLib, {{0, 1}}, false,
-        CompilerConfig{.chargeInitialEnc = false});
+        c2, Topology::line(2), kLib, {{0, 1}}, false, cfg);
     ASSERT_EQ(res.compiled.numGates(), 2);
     const auto &g = res.compiled.gates();
     EXPECT_GE(g[1].start, g[0].end());

@@ -82,17 +82,6 @@ sameResult(const CompileResult &a, const CompileResult &b)
     return ::testing::AssertionSuccess();
 }
 
-/** Sorted canonical (min, max) edge list of a topology. */
-std::vector<std::pair<int, int>>
-edgeSet(const Topology &t)
-{
-    std::vector<std::pair<int, int>> out;
-    for (const auto &e : t.graph().edges())
-        out.push_back({std::min(e.u, e.v), std::max(e.u, e.v)});
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 /** A small syntactically complete qcal record for a 3-unit device. */
 std::string
 validQcal()
@@ -238,18 +227,39 @@ TEST(Qcal, FromFileMissingIsFatalError)
 
 TEST(TopologyZoo, HeavyHexFamilyReproducesHeavyHex65)
 {
+    // Reference: the IBM 65-qubit coupling map (ibmq_manhattan/
+    // brooklyn), written out by hand. Qubit rows (inclusive ranges),
+    // then bridges {bridge, upper-row qubit, lower-row qubit}.
+    Graph ref(65);
+    const std::pair<int, int> rows[] = {
+        {0, 9}, {13, 23}, {27, 37}, {41, 51}, {55, 64},
+    };
+    for (const auto &[lo, hi] : rows) {
+        for (int q = lo; q < hi; ++q)
+            ref.addEdge(q, q + 1);
+    }
+    const int bridges[][3] = {
+        {10, 0, 13},  {11, 4, 17},  {12, 8, 21},
+        {24, 15, 29}, {25, 19, 33}, {26, 23, 37},
+        {38, 27, 41}, {39, 31, 45}, {40, 35, 49},
+        {52, 43, 56}, {53, 47, 60}, {54, 51, 64},
+    };
+    for (const auto &[b, up, down] : bridges) {
+        ref.addEdge(b, up);
+        ref.addEdge(b, down);
+    }
+
     const Topology gen = Topology::heavyHex(5, 11);
-    const Topology fixed = Topology::heavyHex65();
-    EXPECT_EQ(gen.numUnits(), fixed.numUnits());
-    EXPECT_EQ(gen.name(), fixed.name());
-    // Same graph, not merely isomorphic: identical edge sets AND
-    // identical insertion order (adjacency order feeds Dijkstra
-    // tie-breaks, so this is what bit-identity rests on).
-    EXPECT_EQ(edgeSet(gen), edgeSet(fixed));
-    EXPECT_EQ(gen.graph().edges().size(), fixed.graph().edges().size());
-    for (std::size_t i = 0; i < gen.graph().edges().size(); ++i) {
-        EXPECT_EQ(gen.graph().edges()[i].u, fixed.graph().edges()[i].u);
-        EXPECT_EQ(gen.graph().edges()[i].v, fixed.graph().edges()[i].v);
+    EXPECT_EQ(gen.numUnits(), 65);
+    EXPECT_EQ(gen.name(), "heavyhex_65");
+    EXPECT_EQ(Topology::heavyHex65().name(), gen.name());
+    // Same graph, not merely isomorphic: identical edges in identical
+    // insertion order (adjacency order feeds Dijkstra tie-breaks, so
+    // this is what bit-identity rests on).
+    ASSERT_EQ(gen.graph().edges().size(), ref.edges().size());
+    for (std::size_t i = 0; i < ref.edges().size(); ++i) {
+        EXPECT_EQ(gen.graph().edges()[i].u, ref.edges()[i].u);
+        EXPECT_EQ(gen.graph().edges()[i].v, ref.edges()[i].v);
     }
 }
 
@@ -287,34 +297,42 @@ TEST(TopologyZoo, Falcon27Shape)
         EXPECT_EQ(c, 0);
 }
 
-TEST(TopologyZoo, NamedLookup)
+TEST(TopologyZoo, SizedKindsAndClamps)
 {
-    EXPECT_EQ(Topology::named("falcon27").numUnits(), 27);
-    EXPECT_EQ(Topology::named("heavyhex23").numUnits(), 23);
-    EXPECT_EQ(Topology::named("heavyhex65").numUnits(), 65);
-    EXPECT_EQ(Topology::named("heavyhex127").numUnits(), 127);
-    EXPECT_EQ(Topology::named("ring:16").numUnits(), 16);
-    EXPECT_EQ(Topology::named("line:5").numEdges(), 4);
-    EXPECT_EQ(Topology::named("grid:3x4").numUnits(), 12);
-    EXPECT_EQ(Topology::named("complete:6").numEdges(), 15);
-    EXPECT_EQ(Topology::named("heavyhex:5x11").numUnits(), 65);
+    EXPECT_EQ(Topology::sized("grid", 12).numUnits(), 12);
+    EXPECT_EQ(Topology::sized("grid", 10).name(),
+              Topology::grid(10).name());
+    EXPECT_EQ(Topology::sized("ring", 16).numUnits(), 16);
+    EXPECT_EQ(Topology::sized("line", 5).numEdges(), 4);
+    // heavyhex is the 65-unit lattice whatever the size...
+    for (int units : {1, 65, 500}) {
+        const Topology t = Topology::sized("heavyhex", units);
+        EXPECT_EQ(t.numUnits(), 65);
+        EXPECT_EQ(t.graph().edges().size(),
+                  Topology::heavyHex65().graph().edges().size());
+    }
+    // ...and ring/line clamp up to their smallest valid shape.
+    EXPECT_EQ(Topology::sized("ring", 1).numUnits(), 3);
+    EXPECT_EQ(Topology::sized("ring", 2).numUnits(), 3);
+    EXPECT_EQ(Topology::sized("line", 1).numUnits(), 2);
+    EXPECT_EQ(Topology::sized("line", 1).numEdges(), 1);
+    EXPECT_THROW(Topology::sized("grid", 0), FatalError);
 }
 
-TEST(TopologyZoo, NamedLookupErrorListsValidNames)
+TEST(TopologyZoo, SizedUnknownKindListsValidKinds)
 {
-    try {
-        Topology::named("bogus");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("bogus"), std::string::npos);
-        EXPECT_NE(what.find("falcon27"), std::string::npos);
-        EXPECT_NE(what.find("heavyhex65"), std::string::npos);
+    for (const char *kind : {"bogus", "grid64", "ring:16", ""}) {
+        try {
+            Topology::sized(kind, 8);
+            FAIL() << "expected FatalError for '" << kind << "'";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("'") + kind + "'"),
+                      std::string::npos);
+            EXPECT_NE(what.find("grid|heavyhex|ring|line"),
+                      std::string::npos);
+        }
     }
-    EXPECT_THROW(Topology::named("ring:0"), FatalError);
-    EXPECT_THROW(Topology::named("ring:abc"), FatalError);
-    EXPECT_THROW(Topology::named("grid:4"), FatalError);
-    EXPECT_THROW(Topology::named("grid:0x4"), FatalError);
 }
 
 // ------------------------------------------------------------------

@@ -741,8 +741,9 @@ TEST(ArtifactStore, ConcurrentPutsAndLoads)
             for (int i = 0; i < 16; ++i) {
                 store.put(keyN(i), blobs[i]);
                 std::vector<std::uint8_t> blob;
-                if (store.load(keyN((i + t) % 16), blob))
+                if (store.load(keyN((i + t) % 16), blob)) {
                     EXPECT_FALSE(blob.empty());
+                }
             }
         });
     }

@@ -92,14 +92,12 @@ parse(int argc, char **argv)
             opts.topology = value("--topology=");
         } else if (a.rfind("--device=", 0) == 0) {
             opts.deviceFile = value("--device=");
-        } else if (a.rfind("--lookahead=", 0) == 0) {
-            opts.lookahead = std::atof(value("--lookahead=").c_str());
-        } else if (a.rfind("--units=", 0) == 0) {
-            opts.units = std::atoi(value("--units=").c_str());
-        } else if (a.rfind("--t1-scale=", 0) == 0) {
-            opts.t1Scale = std::atof(value("--t1-scale=").c_str());
-        } else if (a.rfind("--2q-error=", 0) == 0) {
-            opts.twoqError = std::atof(value("--2q-error=").c_str());
+        } else if (numericFlag(a, "--lookahead", opts.lookahead, 0, 1e6) ||
+                   numericFlag(a, "--units", opts.units, 1,
+                               Topology::kMaxUnits) ||
+                   numericFlag(a, "--t1-scale", opts.t1Scale, 1e-6, 1e6) ||
+                   numericFlag(a, "--2q-error", opts.twoqError, 0, 1)) {
+            // parsed into opts
         } else if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);
@@ -112,23 +110,6 @@ parse(int argc, char **argv)
     }
     QFATAL_IF(opts.file.empty(), "no input file (see --help)");
     return opts;
-}
-
-Topology
-makeDevice(const CliOptions &opts, int qubits)
-{
-    if (!opts.deviceFile.empty())
-        return Topology::fromFile(opts.deviceFile);
-    const int fitted = opts.units > 0 ? opts.units : qubits;
-    if (opts.topology == "grid")
-        return Topology::grid(fitted);
-    if (opts.topology == "heavyhex")
-        return Topology::heavyHex65();
-    if (opts.topology == "ring")
-        return Topology::ring(std::max(3, fitted));
-    if (opts.topology == "line")
-        return Topology::line(fitted);
-    QFATAL("unknown topology '", opts.topology, "'");
 }
 
 void
@@ -167,7 +148,12 @@ main(int argc, char **argv)
             lib.setQubitGateError(opts.twoqError / 10.0,
                                   opts.twoqError);
 
-        const Topology device = makeDevice(opts, circuit.numQubits());
+        const Topology device =
+            opts.deviceFile.empty()
+                ? Topology::sized(opts.topology, opts.units > 0
+                                                     ? opts.units
+                                                     : circuit.numQubits())
+                : Topology::fromFile(opts.deviceFile);
         std::printf("circuit '%s': %d qubits, %d gates; device %s "
                     "(%d units)\n\n",
                     circuit.name().c_str(), circuit.numQubits(),

@@ -59,11 +59,18 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/strings.hh"
 #include "server/server.hh"
 
 using namespace qompress;
 
 namespace {
+
+/** Upper bounds of the numeric flags: a day for durations, a billion
+ *  for entry counts, a pebibyte for byte sizes. */
+constexpr double kMaxMs = 86'400'000;
+constexpr double kMaxCount = 1e9;
+constexpr double kMaxBytes = 1125899906842624.0; // 2^50
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -113,60 +120,43 @@ parse(int argc, char **argv)
     opts.port = 8080;
     const unsigned hw = std::thread::hardware_concurrency();
     opts.workers = hw > 2 ? static_cast<int>(hw) : 2;
+    ServiceOptions &svc = opts.service;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto value = [&](const char *prefix) {
             return a.substr(std::string(prefix).size());
         };
-        if (a.rfind("--port=", 0) == 0) {
-            opts.port = std::atoi(value("--port=").c_str());
+        if (numericFlag(a, "--port", opts.port, 0, 65535) ||
+            numericFlag(a, "--workers", opts.workers, 1, 1024) ||
+            numericFlag(a, "--queue", opts.maxQueue, 0, kMaxCount) ||
+            numericFlag(a, "--deadline-ms", opts.defaultDeadlineMs, 0,
+                        kMaxMs) ||
+            numericFlag(a, "--idle-timeout-ms", opts.idleTimeoutMs, 1,
+                        kMaxMs) ||
+            numericFlag(a, "--cache", svc.cacheCapacity, 0, kMaxCount) ||
+            numericFlag(a, "--cache-bytes", svc.cacheBytesCapacity, 0,
+                        kMaxBytes) ||
+            numericFlag(a, "--fsync-interval-bytes",
+                        svc.storeFsyncIntervalBytes, 0, kMaxBytes) ||
+            numericFlag(a, "--store-error-threshold",
+                        svc.storeErrorThreshold, 0, kMaxCount) ||
+            numericFlag(a, "--store-cooldown-ms", svc.storeCooldownMs, 0,
+                        kMaxMs) ||
+            numericFlag(a, "--drain-grace-ms", g_drainGraceMs, 0,
+                        kMaxMs) ||
+            numericFlag(a, "--template-cache", svc.templateCacheCapacity,
+                        0, kMaxCount) ||
+            numericFlag(a, "--contexts", svc.contextPoolCapacity, 0,
+                        kMaxCount) ||
+            numericFlag(a, "--max-units", opts.maxUnits, 1,
+                        Topology::kMaxUnits)) {
+            // parsed into opts
         } else if (a.rfind("--bind=", 0) == 0) {
             opts.bindAddress = value("--bind=");
-        } else if (a.rfind("--workers=", 0) == 0) {
-            opts.workers = std::atoi(value("--workers=").c_str());
-        } else if (a.rfind("--queue=", 0) == 0) {
-            opts.maxQueue = static_cast<std::size_t>(
-                std::atol(value("--queue=").c_str()));
-        } else if (a.rfind("--deadline-ms=", 0) == 0) {
-            opts.defaultDeadlineMs =
-                std::atof(value("--deadline-ms=").c_str());
-        } else if (a.rfind("--idle-timeout-ms=", 0) == 0) {
-            opts.idleTimeoutMs =
-                std::atoi(value("--idle-timeout-ms=").c_str());
-        } else if (a.rfind("--cache=", 0) == 0) {
-            opts.service.cacheCapacity = static_cast<std::size_t>(
-                std::atol(value("--cache=").c_str()));
-        } else if (a.rfind("--cache-bytes=", 0) == 0) {
-            opts.service.cacheBytesCapacity = static_cast<std::size_t>(
-                std::atoll(value("--cache-bytes=").c_str()));
         } else if (a.rfind("--store=", 0) == 0) {
-            opts.service.storePath = value("--store=");
+            svc.storePath = value("--store=");
         } else if (a.rfind("--fsync=", 0) == 0) {
-            opts.service.storeFsync =
-                fsyncPolicyFromString(value("--fsync="));
-        } else if (a.rfind("--fsync-interval-bytes=", 0) == 0) {
-            opts.service.storeFsyncIntervalBytes =
-                static_cast<std::uint64_t>(std::atoll(
-                    value("--fsync-interval-bytes=").c_str()));
-        } else if (a.rfind("--store-error-threshold=", 0) == 0) {
-            opts.service.storeErrorThreshold =
-                static_cast<std::uint64_t>(std::atoll(
-                    value("--store-error-threshold=").c_str()));
-        } else if (a.rfind("--store-cooldown-ms=", 0) == 0) {
-            opts.service.storeCooldownMs =
-                std::atof(value("--store-cooldown-ms=").c_str());
-        } else if (a.rfind("--drain-grace-ms=", 0) == 0) {
-            g_drainGraceMs =
-                std::atoi(value("--drain-grace-ms=").c_str());
-        } else if (a.rfind("--template-cache=", 0) == 0) {
-            opts.service.templateCacheCapacity =
-                static_cast<std::size_t>(
-                    std::atol(value("--template-cache=").c_str()));
-        } else if (a.rfind("--contexts=", 0) == 0) {
-            opts.service.contextPoolCapacity = static_cast<std::size_t>(
-                std::atol(value("--contexts=").c_str()));
-        } else if (a.rfind("--max-units=", 0) == 0) {
-            opts.maxUnits = std::atoi(value("--max-units=").c_str());
+            svc.storeFsync = fsyncPolicyFromString(value("--fsync="));
         } else if (a.rfind("--device=", 0) == 0) {
             g_devices.push_back(
                 namePathPair(value("--device="), "--device"));
