@@ -246,25 +246,6 @@ struct RouteBenchResult
     std::uint64_t gates;
 };
 
-bool
-sameGates(const CompiledCircuit &a, const CompiledCircuit &b)
-{
-    if (a.numGates() != b.numGates())
-        return false;
-    for (int i = 0; i < a.numGates(); ++i) {
-        const PhysGate &x = a.gates()[i];
-        const PhysGate &y = b.gates()[i];
-        if (x.cls != y.cls || x.slots != y.slots ||
-            x.logical != y.logical || x.param != y.param ||
-            x.logical2 != y.logical2 || x.param2 != y.param2 ||
-            x.sourceGate != y.sourceGate ||
-            x.sourceGate2 != y.sourceGate2 ||
-            x.isRouting != y.isRouting)
-            return false;
-    }
-    return true;
-}
-
 RouteBenchResult
 benchRouting(int reps)
 {
@@ -304,7 +285,7 @@ benchRouting(int reps)
     const double uncached_s = secondsSince(t1);
 
     return {1e3 * cached_s / reps, 1e3 * uncached_s / reps,
-            sameGates(cached_out, uncached_out),
+            bench::artifactDiff(cached_out, uncached_out).empty(),
             static_cast<std::uint64_t>(cached_out.numGates())};
 }
 
@@ -375,12 +356,8 @@ benchQaoaHeavyHex(int reps, int rounds)
         uncached_out = run(false, false);
     const double uncached_s = secondsSince(t1);
 
-    bool identical = sameGates(cached_out, uncached_out);
-    for (QubitId q = 0; identical && q < qaoa.numQubits(); ++q) {
-        identical = cached_out.finalLayout().slotOf(q) ==
-                    uncached_out.finalLayout().slotOf(q);
-    }
-
+    const bool identical =
+        bench::artifactDiff(cached_out, uncached_out).empty();
     return {1e3 * cached_s / reps, 1e3 * uncached_s / reps, identical,
             static_cast<std::uint64_t>(cached_out.numGates()), hits,
             misses, revalidations};
@@ -688,18 +665,6 @@ struct ServiceBenchResult
  *  locked map lookup). Asserted under --check. */
 constexpr double kServiceWarmMargin = 5.0;
 
-bool
-sameCompileResults(const CompileResult &a, const CompileResult &b)
-{
-    return sameGates(a.compiled, b.compiled) &&
-           a.compressions == b.compressions &&
-           a.metrics.gateEps == b.metrics.gateEps &&
-           a.metrics.coherenceEps == b.metrics.coherenceEps &&
-           a.metrics.totalEps == b.metrics.totalEps &&
-           a.metrics.durationNs == b.metrics.durationNs &&
-           a.metrics.numGates == b.metrics.numGates;
-}
-
 /**
  * The service-front-end workload: a (family x size x strategy)
  * request grid -- the redundant-compile shape of every evaluation
@@ -775,7 +740,7 @@ benchService(int reps, int sizes_hi)
 
         for (std::size_t i = 0; i < artifacts.size(); ++i) {
             res.identical = res.identical &&
-                            sameCompileResults(*artifacts[i], direct[i]);
+                bench::artifactDiff(*artifacts[i], direct[i]).empty();
         }
         switch (lanes) {
         case 1: {
@@ -901,7 +866,7 @@ benchTemplate(int reps, int rounds, int num_angles)
 
         for (std::size_t i = 0; i < rebound.size(); ++i) {
             res.identical = res.identical &&
-                            sameCompileResults(*rebound[i], *cold[i]);
+                bench::artifactDiff(*rebound[i], *cold[i]).empty();
         }
         switch (lanes) {
         case 1: {
@@ -1058,7 +1023,7 @@ benchPersist(int reps, int sizes_hi)
         res.disk_hits = stats.diskHits;
         for (std::size_t i = 0; i < artifacts.size(); ++i) {
             res.identical = res.identical &&
-                            sameCompileResults(*artifacts[i], direct[i]);
+                bench::artifactDiff(*artifacts[i], direct[i]).empty();
         }
     }
 
@@ -1122,7 +1087,7 @@ benchDevices(int reps)
             const CompileResult direct = makeStrategy(strat)->compile(
                 circuit, d.topology, lib, cfg);
             res.identical =
-                res.identical && sameCompileResults(*art, direct);
+                res.identical && bench::artifactDiff(*art, direct).empty();
             std::snprintf(row, sizeof row,
                           "    \"device_%s_%s_ms\": %.4f,\n"
                           "    \"device_%s_%s_eps\": %.6f,\n",
@@ -1148,9 +1113,7 @@ benchDevices(int reps)
             circuit, d.topology, lib, cfg);
         const CompileResult cal = makeStrategy("eqm")->compile(
             circuit, d.topology, lib, neutral);
-        res.neutral_identical =
-            sameCompileResults(plain, cal) &&
-            plain.metrics.readoutEps == cal.metrics.readoutEps;
+        res.neutral_identical = bench::artifactDiff(plain, cal).empty();
     }
 
     // Invalidation differential on a fresh service (clean counters):

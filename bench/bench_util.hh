@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction benches: argument
- * parsing, size sweeps, and ratio formatting.
+ * parsing, size sweeps, ratio formatting, and the one definition of a
+ * bit-identical compile artifact that the tests share.
  *
  * Every bench prints the rows/series of one paper table or figure.
  * Common flags: --quick (smaller sweeps), --csv (machine-readable),
@@ -12,7 +13,9 @@
 #define QOMPRESS_BENCH_BENCH_UTIL_HH
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "common/rng.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
+#include "compiler/pipeline.hh"
 #include "sim/statevector.hh"
 
 namespace qompress::bench {
@@ -99,6 +103,96 @@ banner(const std::string &title, const std::string &paper_ref)
     std::cout << "=== " << title << " ===\n"
               << paper_ref << "\n\n";
 }
+
+/** @name Artifact comparison: "bit-identical" for every test and
+ *  bench that checks a cache tier, lane count, codec or calibration
+ *  against a reference compile. @{ */
+
+/** Bitwise double equality: NaN equals NaN, -0.0 differs from 0.0. */
+inline bool
+bitEq(double a, double b)
+{
+    std::uint64_t x, y;
+    std::memcpy(&x, &a, sizeof x);
+    std::memcpy(&y, &b, sizeof y);
+    return x == y;
+}
+
+/**
+ * The first field in which two compiled circuits differ, or "" when
+ * they are bit-identical: the name, both layouts (shape, then every
+ * qubit's slot), then every PhysGate field. Doubles compare bitwise.
+ */
+inline std::string
+artifactDiff(const CompiledCircuit &a, const CompiledCircuit &b)
+{
+    if (a.name() != b.name())
+        return "name";
+    for (const bool final_ : {false, true}) {
+        const Layout &la = final_ ? a.finalLayout() : a.initialLayout();
+        const Layout &lb = final_ ? b.finalLayout() : b.initialLayout();
+        const std::string which = final_ ? "final" : "initial";
+        if (la.numQubits() != lb.numQubits() ||
+            la.numUnits() != lb.numUnits())
+            return which + " layout shape";
+        for (QubitId q = 0; q < la.numQubits(); ++q) {
+            if (la.slotOf(q) != lb.slotOf(q))
+                return which + " layout slot of qubit " +
+                       std::to_string(q);
+        }
+    }
+    if (a.numGates() != b.numGates())
+        return "gate count";
+    for (int i = 0; i < a.numGates(); ++i) {
+        const PhysGate &x = a.gates()[i];
+        const PhysGate &y = b.gates()[i];
+        const char *field = x.cls != y.cls           ? "cls"
+            : x.slots != y.slots                     ? "slots"
+            : x.logical != y.logical                 ? "logical"
+            : x.logical2 != y.logical2               ? "logical2"
+            : !bitEq(x.param, y.param)               ? "param"
+            : !bitEq(x.param2, y.param2)             ? "param2"
+            : x.isRouting != y.isRouting             ? "isRouting"
+            : x.sourceGate != y.sourceGate           ? "sourceGate"
+            : x.sourceGate2 != y.sourceGate2         ? "sourceGate2"
+            : !bitEq(x.start, y.start)               ? "start"
+            : !bitEq(x.duration, y.duration)         ? "duration"
+            : !bitEq(x.fidelity, y.fidelity)         ? "fidelity"
+                                                     : nullptr;
+        if (field)
+            return "gate " + std::to_string(i) + " " + field;
+    }
+    return "";
+}
+
+/** As above for whole compile results: the compiled circuit, the
+ *  compressions, then every Metrics field. */
+inline std::string
+artifactDiff(const CompileResult &a, const CompileResult &b)
+{
+    const std::string circuit = artifactDiff(a.compiled, b.compiled);
+    if (!circuit.empty())
+        return circuit;
+    if (a.compressions != b.compressions)
+        return "compressions";
+    const Metrics &x = a.metrics;
+    const Metrics &y = b.metrics;
+    const char *field = !bitEq(x.gateEps, y.gateEps) ? "gateEps"
+        : !bitEq(x.coherenceEps, y.coherenceEps)     ? "coherenceEps"
+        : !bitEq(x.readoutEps, y.readoutEps)         ? "readoutEps"
+        : !bitEq(x.totalEps, y.totalEps)             ? "totalEps"
+        : !bitEq(x.durationNs, y.durationNs)         ? "durationNs"
+        : x.numGates != y.numGates                   ? "numGates"
+        : x.numRoutingGates != y.numRoutingGates     ? "numRoutingGates"
+        : x.numTwoUnitGates != y.numTwoUnitGates     ? "numTwoUnitGates"
+        : x.numEncodedUnits != y.numEncodedUnits     ? "numEncodedUnits"
+        : x.classHistogram != y.classHistogram       ? "classHistogram"
+        : !bitEq(x.qubitTimeNs, y.qubitTimeNs)       ? "qubitTimeNs"
+        : !bitEq(x.ququartTimeNs, y.ququartTimeNs)   ? "ququartTimeNs"
+                                                     : nullptr;
+    return field ? std::string("metrics ") + field : "";
+}
+/** @} */
 
 /** @name Randomized mixed-radix fixtures shared by bench_hotpaths and
  *  the differential tests. @{ */

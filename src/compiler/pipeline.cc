@@ -29,6 +29,38 @@ encodedPairsOf(const Layout &layout)
 }
 
 CompileResult
+beginCompile(const Layout &layout, const std::string &name,
+             const CompilerConfig &cfg)
+{
+    CompileResult result;
+    result.compressions = encodedPairsOf(layout);
+    result.compiled = CompiledCircuit(layout, name);
+    if (cfg.chargeInitialEnc) {
+        for (UnitId u = 0; u < layout.numUnits(); ++u) {
+            if (!layout.unitEncoded(u))
+                continue;
+            PhysGate enc;
+            enc.cls = PhysGateClass::Encode;
+            enc.slots = {makeSlot(u, 0), makeSlot(u, 1)};
+            enc.logical = GateType::Swap; // no logical counterpart
+            result.compiled.add(enc);
+        }
+    }
+    return result;
+}
+
+void
+finishCompile(CompileResult &result, const Topology &topo,
+              const GateLibrary &lib, const CompilerConfig &cfg)
+{
+    scheduleCompiled(result.compiled, lib, cfg.calibration.get());
+    if (cfg.validate)
+        validateCompiled(result.compiled, topo);
+    result.metrics =
+        computeMetrics(result.compiled, lib, cfg.calibration.get());
+}
+
+CompileResult
 compileWithPairs(const Circuit &circuit, const Topology &topo,
                  const GateLibrary &lib,
                  const std::vector<Compression> &pairs,
@@ -52,22 +84,7 @@ compileWithPairs(const Circuit &circuit, const Topology &topo,
     mopts.pairs = pairs;
     Layout layout = mapCircuit(native, im, cost, mopts, cache);
 
-    CompileResult result;
-    result.compressions = encodedPairsOf(layout);
-    result.compiled = CompiledCircuit(layout, native.name());
-
-    if (cfg.chargeInitialEnc) {
-        for (UnitId u = 0; u < layout.numUnits(); ++u) {
-            if (!layout.unitEncoded(u))
-                continue;
-            PhysGate enc;
-            enc.cls = PhysGateClass::Encode;
-            enc.slots = {makeSlot(u, 0), makeSlot(u, 1)};
-            enc.logical = GateType::Swap; // no logical counterpart
-            enc.isRouting = false;
-            result.compiled.add(enc);
-        }
-    }
+    CompileResult result = beginCompile(layout, native.name(), cfg);
 
     RouterOptions ropts;
     ropts.lookaheadWeight = cfg.lookaheadWeight;
@@ -76,11 +93,7 @@ compileWithPairs(const Circuit &circuit, const Topology &topo,
     // and routing can never end up half-cached.
     ropts.useDistanceCache = cache != nullptr;
     routeCircuit(native, layout, cost, result.compiled, ropts, cache);
-    scheduleCompiled(result.compiled, lib, cfg.calibration.get());
-    if (cfg.validate)
-        validateCompiled(result.compiled, topo);
-    result.metrics =
-        computeMetrics(result.compiled, lib, cfg.calibration.get());
+    finishCompile(result, topo, lib, cfg);
     return result;
 }
 

@@ -8,6 +8,7 @@
 #define QOMPRESS_COMPILER_PIPELINE_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/device.hh"
@@ -146,6 +147,17 @@ CompileResult compileWithPairs(const Circuit &circuit,
                                bool allow_dynamic_slot1,
                                const CompilerConfig &cfg = {},
                                CompileContext *ctx = nullptr);
+
+/** Open a compile on its initial @p layout: the encoded pairs, an
+ *  empty circuit named @p name and, under cfg.chargeInitialEnc, one
+ *  ENC per encoded unit at t = 0. compileWithPairs and FQ share it. */
+CompileResult beginCompile(const Layout &layout, const std::string &name,
+                           const CompilerConfig &cfg);
+
+/** Close a routed compile: schedule, validate (cfg.validate) and
+ *  price it, all under cfg.calibration. Shared like beginCompile. */
+void finishCompile(CompileResult &result, const Topology &topo,
+                   const GateLibrary &lib, const CompilerConfig &cfg);
 
 /** The pairs sharing a unit in @p layout (first = position 0). */
 std::vector<Compression> encodedPairsOf(const Layout &layout);

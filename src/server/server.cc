@@ -423,23 +423,17 @@ QompressServer::handleCompile(const HttpRequest &req)
 {
     const auto t0 = Clock::now();
 
-    // Deadline: query beats header beats the server default. A present
-    // value of 0 expires immediately; negative disables.
-    double deadlineMs = opts_.defaultDeadlineMs;
-    std::string dl = req.queryParam("deadline_ms", "");
-    if (dl.empty()) {
-        if (const auto it = req.headers.find("x-deadline-ms");
-            it != req.headers.end())
-            dl = it->second;
-    }
-    if (!dl.empty()) {
-        char *end = nullptr;
-        deadlineMs = std::strtod(dl.c_str(), &end);
-        QFATAL_IF(end == nullptr || *end != '\0',
-                  "malformed deadline_ms '", dl, "'");
-    }
-    const bool hasDeadline = !dl.empty() ? deadlineMs >= 0.0
-                                         : opts_.defaultDeadlineMs > 0.0;
+    // Deadline: query beats header beats the server default. A given
+    // value must be a plain decimal within a day either way; 0 expires
+    // immediately, negative disables.
+    const auto q = req.query.find("deadline_ms");
+    const auto h = req.headers.find("x-deadline-ms");
+    const bool given = q != req.query.end() || h != req.headers.end();
+    const double deadlineMs = !given ? opts_.defaultDeadlineMs
+        : parseRealFlag(q != req.query.end() ? q->second : h->second,
+                        "deadline_ms", -864e5, 864e5);
+    const bool hasDeadline =
+        given ? deadlineMs >= 0.0 : opts_.defaultDeadlineMs > 0.0;
 
     const std::string strategy = req.queryParam("strategy", "eqm");
     const std::string topoKind = req.queryParam("topology", "grid");

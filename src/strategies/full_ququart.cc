@@ -357,20 +357,7 @@ FullQuquartStrategy::compile(const Circuit &circuit, const Topology &topo,
             layout.place(members[1], makeSlot(node_unit[node], 1));
     }
 
-    CompileResult result;
-    result.compressions = encodedPairsOf(layout);
-    result.compiled = CompiledCircuit(layout, native.name());
-    if (cfg.chargeInitialEnc) {
-        for (UnitId u = 0; u < topo.numUnits(); ++u) {
-            if (!layout.unitEncoded(u))
-                continue;
-            PhysGate enc;
-            enc.cls = PhysGateClass::Encode;
-            enc.slots = {makeSlot(u, 0), makeSlot(u, 1)};
-            enc.logical = GateType::Swap;
-            result.compiled.add(enc);
-        }
-    }
+    CompileResult result = beginCompile(layout, native.name(), cfg);
 
     // --- Qudit-level routing with encode/decode ---------------------
     FqRouter router(topo, ctx.cost(), layout, result.compiled,
@@ -456,10 +443,7 @@ FullQuquartStrategy::compile(const Circuit &circuit, const Topology &topo,
     }
 
     result.compiled.setFinalLayout(layout);
-    scheduleCompiled(result.compiled, lib);
-    if (cfg.validate)
-        validateCompiled(result.compiled, topo);
-    result.metrics = computeMetrics(result.compiled, lib);
+    finishCompile(result, topo, lib, cfg);
     return result;
 }
 

@@ -1,34 +1,16 @@
 #include "strategies/portfolio.hh"
 
+#include <exception>
+#include <memory>
+#include <optional>
+
 #include "common/error.hh"
+#include "common/thread_pool.hh"
 
 namespace qompress {
 
-namespace {
-
-ServiceOptions
-portfolioServiceOptions()
-{
-    ServiceOptions opts;
-    // Enough memo room for every member of a handful of recent
-    // distinct requests; the pool keeps one warm context per member's
-    // pricing configuration (they usually share one).
-    opts.cacheCapacity = 64;
-    // Members inherit the template tier too: a portfolio driven down
-    // an angle sweep full-compiles each member once, then every later
-    // instance is a per-member rebind (winner selection reads metrics,
-    // which rebind reproduces bit-identically, so the winning member
-    // never changes from what full compiles would pick).
-    opts.templateCacheCapacity = 64;
-    opts.contextPoolCapacity = 8;
-    opts.threads = 0; // overridden per compile by cfg.threads
-    return opts;
-}
-
-} // namespace
-
 PortfolioStrategy::PortfolioStrategy(std::vector<std::string> names)
-    : names_(std::move(names)), service_(portfolioServiceOptions())
+    : names_(std::move(names))
 {
     QFATAL_IF(names_.empty(), "portfolio needs at least one member");
 }
@@ -39,45 +21,64 @@ PortfolioStrategy::compile(const Circuit &circuit, const Topology &topo,
                            const CompilerConfig &cfg,
                            CompileContext *ctx) const
 {
-    // The caller's context cannot be shared out to members (contexts
-    // are single-writer and members may run concurrently); members
-    // draw pooled contexts from the service instead.
-    (void)ctx;
+    // Member fan-out: cfg.threads lanes (0 = the process default).
+    // Lane 0 reuses the caller's context; other lanes lazily build
+    // their own (the cache is single-writer state). Calls already
+    // running on a pool worker stay serial (forRequest returns
+    // nullptr there).
+    std::optional<ThreadPool> own_pool;
+    ThreadPool *pool = ThreadPool::forRequest(cfg.threads, own_pool);
+    std::vector<std::unique_ptr<CompileContext>> lane_ctx(
+        pool ? pool->numThreads() : 1);
+    auto ctx_of_lane = [&](int lane) -> CompileContext * {
+        if (lane == 0 && ctx)
+            return ctx;
+        if (!lane_ctx[lane])
+            lane_ctx[lane] =
+                std::make_unique<CompileContext>(topo, lib, cfg);
+        return lane_ctx[lane].get();
+    };
 
-    std::vector<CompileRequest> reqs;
-    reqs.reserve(names_.size());
-    for (const auto &member : names_)
-        reqs.push_back(
-            CompileRequest::forCircuit(circuit, topo, member, cfg, lib));
-    auto handles = service_.submitBatch(std::move(reqs), cfg.threads);
-
-    // Deterministic serial reduction in member order with the strict
-    // ">" the serial loop used: ties keep the earliest member, and
-    // lastWinner_ is written exactly once, by this (the calling)
-    // thread, after all members have finished. Artifacts are shared
-    // and immutable, so the scan only tracks the best one; the single
-    // copy into the returned result happens after the loop.
-    CompileArtifact best;
-    const std::string *winner = nullptr;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        CompileArtifact artifact;
+    // Each member fills its own slot, so the reduction below never
+    // depends on lane timing.
+    std::vector<std::optional<CompileResult>> results(names_.size());
+    std::vector<std::exception_ptr> errors(names_.size());
+    auto compile_member = [&](std::size_t i, int lane) {
         try {
-            artifact = handles[i].get();
+            results[i] = makeStrategy(names_[i])->compile(
+                circuit, topo, lib, cfg, ctx_of_lane(lane));
         } catch (const FatalError &) {
             // A member may not fit (e.g. qubit-only over capacity);
             // the portfolio simply skips it.
-            continue;
+        } catch (...) {
+            errors[i] = std::current_exception();
         }
-        if (!winner ||
-            artifact->metrics.totalEps > best->metrics.totalEps) {
-            best = std::move(artifact);
-            winner = &names_[i];
-        }
+    };
+    if (pool) {
+        pool->parallelFor(0, names_.size(), compile_member);
+    } else {
+        for (std::size_t i = 0; i < names_.size(); ++i)
+            compile_member(i, 0);
     }
-    QFATAL_IF(!winner, "no portfolio member could compile '",
+
+    // Deterministic serial reduction in member order with a strict
+    // ">": ties keep the earliest member, the first other error in
+    // member order propagates, and lastWinner_ is written exactly
+    // once, by this (the calling) thread, after the join.
+    std::size_t winner = names_.size();
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+        if (!results[i])
+            continue;
+        if (winner == names_.size() ||
+            results[i]->metrics.totalEps > results[winner]->metrics.totalEps)
+            winner = i;
+    }
+    QFATAL_IF(winner == names_.size(), "no portfolio member could compile '",
               circuit.name(), "' on ", topo.name());
-    lastWinner_ = *winner;
-    return *best;
+    lastWinner_ = names_[winner];
+    return std::move(*results[winner]);
 }
 
 } // namespace qompress

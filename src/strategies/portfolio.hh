@@ -5,23 +5,18 @@
  * a deployment would simply take the winner, which this class
  * packages behind the common interface.
  *
- * The member compiles go through a private CompilerService: the
- * service fans the batch across the thread pool (cfg.threads lanes),
- * pools contexts so repeated compiles on one portfolio instance reuse
- * warmed distance fields, and memoizes member artifacts so recompiling
- * the same circuit (parameter studies, repeated queries) serves cached
- * results. The winner is still chosen by a serial reduction in member
- * order with the same strict comparison the serial loop used — so the
- * winner (and lastWinner()) is identical at every lane count and
- * cache configuration. Members that themselves want lanes are safe:
- * compiles running on a pool worker degrade their internal fan-out to
- * inline execution.
+ * The members fan out over cfg.threads lanes of the thread pool, one
+ * CompileContext per lane (lane 0 reuses the caller's), the same way
+ * the exhaustive strategy scores its candidates. The winner is chosen
+ * by a serial reduction in member order with a strict comparison, so
+ * the winner (and lastWinner()) is identical at every lane count.
+ * Compiles already running on a pool worker (a service lane, a sweep
+ * cell) run their members serially.
  */
 
 #ifndef QOMPRESS_STRATEGIES_PORTFOLIO_HH
 #define QOMPRESS_STRATEGIES_PORTFOLIO_HH
 
-#include "service/compiler_service.hh"
 #include "strategies/strategy.hh"
 
 namespace qompress {
@@ -51,16 +46,9 @@ class PortfolioStrategy : public CompressionStrategy
      *  compile() calls on the same instance*. */
     const std::string &lastWinner() const { return lastWinner_; }
 
-    /** The member-compile service (cache counters for tests/benches). */
-    const CompilerService &service() const { return service_; }
-
   private:
     std::vector<std::string> names_;
     mutable std::string lastWinner_;
-    /** Member-compile front end; CompilerService is internally
-     *  thread-safe, so concurrent compiles on one instance only
-     *  contend on lastWinner_ (see above). */
-    mutable CompilerService service_;
 };
 
 } // namespace qompress

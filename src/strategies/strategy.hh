@@ -19,8 +19,9 @@ namespace qompress {
  * A qubit-compression policy.
  *
  * Most strategies pick pairs up front (choosePairs) and defer to the
- * common pipeline; FQ overrides compile() outright because it routes
- * at the qudit level with encode/decode around external operations.
+ * common pipeline; FQ overrides compile() because it routes at the
+ * qudit level with encode/decode around external operations (it still
+ * opens and closes through beginCompile/finishCompile).
  *
  * Thread-safety: the standard strategies are stateless, so one
  * instance may serve concurrent compiles as long as each call uses

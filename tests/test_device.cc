@@ -28,6 +28,7 @@
 #include "arch/device.hh"
 #include "arch/gate_library.hh"
 #include "arch/topology.hh"
+#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/qaoa.hh"
 #include "common/error.hh"
@@ -38,49 +39,7 @@
 namespace qompress {
 namespace {
 
-// ------------------------------------------------------------------
-// Helpers (self-contained copies of the test_service comparators)
-// ------------------------------------------------------------------
-
-bool
-samePhysGates(const CompiledCircuit &a, const CompiledCircuit &b)
-{
-    if (a.numGates() != b.numGates())
-        return false;
-    for (int i = 0; i < a.numGates(); ++i) {
-        const PhysGate &x = a.gates()[i];
-        const PhysGate &y = b.gates()[i];
-        if (x.cls != y.cls || x.slots != y.slots ||
-            x.logical != y.logical || x.logical2 != y.logical2 ||
-            x.param != y.param || x.param2 != y.param2 ||
-            x.isRouting != y.isRouting || x.sourceGate != y.sourceGate ||
-            x.sourceGate2 != y.sourceGate2 ||
-            x.start != y.start || x.duration != y.duration ||
-            x.fidelity != y.fidelity)
-            return false;
-    }
-    return true;
-}
-
-::testing::AssertionResult
-sameResult(const CompileResult &a, const CompileResult &b)
-{
-    if (!samePhysGates(a.compiled, b.compiled))
-        return ::testing::AssertionFailure() << "physical gates differ";
-    if (a.compressions != b.compressions)
-        return ::testing::AssertionFailure() << "compressions differ";
-    if (a.metrics.gateEps != b.metrics.gateEps ||
-        a.metrics.coherenceEps != b.metrics.coherenceEps ||
-        a.metrics.readoutEps != b.metrics.readoutEps ||
-        a.metrics.totalEps != b.metrics.totalEps ||
-        a.metrics.durationNs != b.metrics.durationNs ||
-        a.metrics.numGates != b.metrics.numGates ||
-        a.metrics.classHistogram != b.metrics.classHistogram ||
-        a.metrics.qubitTimeNs != b.metrics.qubitTimeNs ||
-        a.metrics.ququartTimeNs != b.metrics.ququartTimeNs)
-        return ::testing::AssertionFailure() << "metrics differ";
-    return ::testing::AssertionSuccess();
-}
+using bench::artifactDiff;
 
 /** A small syntactically complete qcal record for a 3-unit device. */
 std::string
@@ -505,8 +464,9 @@ TEST(CalibrationPricing, UncalibratedIsBitIdenticalToToday)
 
             // Null calibration: the field exists but is unset.
             CompilerConfig nullCal;
-            EXPECT_TRUE(sameResult(
-                base, strategy->compile(circuit, topo, lib, nullCal)))
+            EXPECT_EQ(artifactDiff(base, strategy->compile(circuit, topo,
+                                                           lib, nullCal)),
+                      "")
                 << name << " on " << topo.name() << " (null)";
 
             // Neutral uniform calibration: every value equals the
@@ -518,8 +478,9 @@ TEST(CalibrationPricing, UncalibratedIsBitIdenticalToToday)
                         topo.name(), topo.numUnits(),
                         GateLibrary::kT1QubitNs,
                         GateLibrary::kT1QuquartNs));
-            EXPECT_TRUE(sameResult(
-                base, strategy->compile(circuit, topo, lib, neutral)))
+            EXPECT_EQ(artifactDiff(base, strategy->compile(circuit, topo,
+                                                           lib, neutral)),
+                      "")
                 << name << " on " << topo.name() << " (neutral)";
         }
     }
@@ -530,22 +491,25 @@ TEST(CalibrationPricing, PerUnitT1ChangesPricing)
     const Circuit circuit = bernsteinVazirani(6);
     const GateLibrary lib;
     const Topology topo = Topology::grid(6);
-    const auto strategy = makeStrategy("eqm");
 
+    // Crush every unit's T1 100x: coherence must get strictly worse
+    // under every strategy, FQ's qudit-level router included.
     CompilerConfig plain;
-    const CompileResult base =
-        strategy->compile(circuit, topo, lib, plain);
-
-    // Crush every unit's T1 100x: coherence must get strictly worse.
     CompilerConfig bad;
     bad.calibration = std::make_shared<const DeviceCalibration>(
         DeviceCalibration::uniform(topo.name(), topo.numUnits(),
                                    GateLibrary::kT1QubitNs / 100.0,
                                    GateLibrary::kT1QuquartNs / 100.0));
-    const CompileResult worse =
-        strategy->compile(circuit, topo, lib, bad);
-    EXPECT_LT(worse.metrics.coherenceEps, base.metrics.coherenceEps);
-    EXPECT_LT(worse.metrics.totalEps, base.metrics.totalEps);
+    for (const std::string &name : strategyNames()) {
+        const auto strategy = makeStrategy(name);
+        const CompileResult base =
+            strategy->compile(circuit, topo, lib, plain);
+        const CompileResult worse =
+            strategy->compile(circuit, topo, lib, bad);
+        EXPECT_LT(worse.metrics.coherenceEps, base.metrics.coherenceEps)
+            << name;
+        EXPECT_LT(worse.metrics.totalEps, base.metrics.totalEps) << name;
+    }
 }
 
 TEST(CalibrationPricing, ReadoutErrorFoldsIntoTotalEps)
@@ -553,24 +517,29 @@ TEST(CalibrationPricing, ReadoutErrorFoldsIntoTotalEps)
     const Circuit circuit = bernsteinVazirani(4);
     const GateLibrary lib;
     const Topology topo = Topology::grid(4);
-    const auto strategy = makeStrategy("qubit_only");
 
+    CompilerConfig plain;
     CompilerConfig ro;
     ro.calibration = std::make_shared<const DeviceCalibration>(
         DeviceCalibration::uniform(topo.name(), topo.numUnits(),
                                    GateLibrary::kT1QubitNs,
                                    GateLibrary::kT1QuquartNs, 0.05));
-    const CompileResult res = strategy->compile(circuit, topo, lib, ro);
-    // 4 measured qubits at 5% readout error each.
-    EXPECT_NEAR(res.metrics.readoutEps, std::pow(0.95, 4), 1e-12);
-    EXPECT_DOUBLE_EQ(res.metrics.totalEps,
-                     res.metrics.gateEps * res.metrics.coherenceEps *
-                         res.metrics.readoutEps);
+    for (const std::string &name : strategyNames()) {
+        const auto strategy = makeStrategy(name);
+        const CompileResult res =
+            strategy->compile(circuit, topo, lib, ro);
+        // 4 measured qubits at 5% readout error each.
+        EXPECT_NEAR(res.metrics.readoutEps, std::pow(0.95, 4), 1e-12)
+            << name;
+        EXPECT_DOUBLE_EQ(res.metrics.totalEps,
+                         res.metrics.gateEps * res.metrics.coherenceEps *
+                             res.metrics.readoutEps)
+            << name;
 
-    CompilerConfig plain;
-    const CompileResult base =
-        strategy->compile(circuit, topo, lib, plain);
-    EXPECT_DOUBLE_EQ(base.metrics.readoutEps, 1.0);
+        const CompileResult base =
+            strategy->compile(circuit, topo, lib, plain);
+        EXPECT_DOUBLE_EQ(base.metrics.readoutEps, 1.0) << name;
+    }
 }
 
 TEST(CalibrationPricing, EdgeScalesReachScheduledGates)
@@ -629,7 +598,7 @@ TEST(ServiceDevices, ByNameMatchesExplicitTopology)
     const CompileArtifact explicitTopo = svc.compileSync(
         CompileRequest::forCircuit(circuit, Topology::heavyHex65(),
                                    "eqm"));
-    EXPECT_TRUE(sameResult(*byName, *explicitTopo));
+    EXPECT_EQ(artifactDiff(*byName, *explicitTopo), "");
     // Same resolved content -> same artifact key: the second request
     // must have been a memo hit on the first's entry.
     const ServiceStats st = svc.stats();

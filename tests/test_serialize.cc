@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
@@ -46,8 +47,10 @@
 namespace qompress {
 namespace {
 
+using bench::artifactDiff;
+
 // ------------------------------------------------------------------
-// Bit-exact comparison (NaN-safe: == would reject NaN == NaN)
+// Raw double bits (artifactDiff compares these; -0.0 and NaN checks)
 // ------------------------------------------------------------------
 
 std::uint64_t
@@ -56,67 +59,6 @@ bitsOf(double v)
     std::uint64_t b;
     std::memcpy(&b, &v, sizeof b);
     return b;
-}
-
-bool
-bitEq(double a, double b)
-{
-    return bitsOf(a) == bitsOf(b);
-}
-
-::testing::AssertionResult
-bitIdentical(const CompileResult &a, const CompileResult &b)
-{
-    const CompiledCircuit &ca = a.compiled;
-    const CompiledCircuit &cb = b.compiled;
-    if (ca.name() != cb.name())
-        return ::testing::AssertionFailure() << "names differ";
-    for (const bool final_ : {false, true}) {
-        const Layout &la = final_ ? ca.finalLayout() : ca.initialLayout();
-        const Layout &lb = final_ ? cb.finalLayout() : cb.initialLayout();
-        if (la.numQubits() != lb.numQubits() ||
-            la.numUnits() != lb.numUnits())
-            return ::testing::AssertionFailure() << "layout shape differs";
-        for (QubitId q = 0; q < la.numQubits(); ++q)
-            if (la.slotOf(q) != lb.slotOf(q))
-                return ::testing::AssertionFailure()
-                       << (final_ ? "final" : "initial") << " layout slot "
-                       << q << " differs";
-    }
-    if (ca.numGates() != cb.numGates())
-        return ::testing::AssertionFailure() << "gate counts differ";
-    for (int i = 0; i < ca.numGates(); ++i) {
-        const PhysGate &x = ca.gates()[i];
-        const PhysGate &y = cb.gates()[i];
-        if (x.cls != y.cls || x.slots != y.slots ||
-            x.logical != y.logical || x.logical2 != y.logical2 ||
-            !bitEq(x.param, y.param) || !bitEq(x.param2, y.param2) ||
-            x.isRouting != y.isRouting ||
-            x.sourceGate != y.sourceGate ||
-            x.sourceGate2 != y.sourceGate2 ||
-            !bitEq(x.start, y.start) ||
-            !bitEq(x.duration, y.duration) ||
-            !bitEq(x.fidelity, y.fidelity))
-            return ::testing::AssertionFailure()
-                   << "gate " << i << " differs";
-    }
-    const Metrics &ma = a.metrics;
-    const Metrics &mb = b.metrics;
-    if (!bitEq(ma.gateEps, mb.gateEps) ||
-        !bitEq(ma.coherenceEps, mb.coherenceEps) ||
-        !bitEq(ma.totalEps, mb.totalEps) ||
-        !bitEq(ma.durationNs, mb.durationNs) ||
-        ma.numGates != mb.numGates ||
-        ma.numRoutingGates != mb.numRoutingGates ||
-        ma.numTwoUnitGates != mb.numTwoUnitGates ||
-        ma.numEncodedUnits != mb.numEncodedUnits ||
-        ma.classHistogram != mb.classHistogram ||
-        !bitEq(ma.qubitTimeNs, mb.qubitTimeNs) ||
-        !bitEq(ma.ququartTimeNs, mb.ququartTimeNs))
-        return ::testing::AssertionFailure() << "metrics differ";
-    if (a.compressions != b.compressions)
-        return ::testing::AssertionFailure() << "compressions differ";
-    return ::testing::AssertionSuccess();
 }
 
 // ------------------------------------------------------------------
@@ -186,6 +128,7 @@ randomResult(Rng &rng)
     res.compiled = std::move(cc);
     res.metrics.gateEps = rawDouble(rng);
     res.metrics.coherenceEps = rawDouble(rng);
+    res.metrics.readoutEps = rawDouble(rng);
     res.metrics.totalEps = rawDouble(rng);
     res.metrics.durationNs = rawDouble(rng);
     res.metrics.numGates = rng.nextInt(-1, 1 << 20);
@@ -313,7 +256,7 @@ TEST(SerializeRoundTrip, EveryStrategyTopologyAndCircuit)
                 const std::vector<std::uint8_t> rec =
                     encodeCompileResult(direct);
                 const CompileResult back = decodeCompileResult(rec);
-                EXPECT_TRUE(bitIdentical(direct, back))
+                EXPECT_EQ(artifactDiff(direct, back), "")
                     << strat->name() << " on " << topo.name() << " / "
                     << circuit.name();
             }
@@ -336,9 +279,9 @@ TEST(SerializeRoundTrip, SpecialDoubleBitPatterns)
 
     const CompileResult back =
         decodeCompileResult(encodeCompileResult(res));
-    EXPECT_TRUE(bitIdentical(res, back));
-    // Spell out the sensitive ones: 0.0 == -0.0 under operator==, so
-    // bitIdentical alone passing is not evidence the sign survived.
+    EXPECT_EQ(artifactDiff(res, back), "");
+    // Spell out the sensitive ones so the check does not rest on the
+    // comparator alone: 0.0 == -0.0 under operator==.
     EXPECT_EQ(bitsOf(back.compiled.gates()[0].param), bitsOf(-0.0));
     EXPECT_NE(bitsOf(back.compiled.gates()[0].param), bitsOf(0.0));
     EXPECT_TRUE(std::isnan(back.compiled.gates()[0].fidelity));
@@ -351,7 +294,7 @@ TEST(SerializeRoundTrip, Fuzz500StructuralShapes)
         const CompileResult res = randomResult(rng);
         const std::vector<std::uint8_t> rec = encodeCompileResult(res);
         const CompileResult back = decodeCompileResult(rec);
-        ASSERT_TRUE(bitIdentical(res, back)) << "fuzz shape " << i;
+        ASSERT_EQ(artifactDiff(res, back), "") << "fuzz shape " << i;
     }
 }
 
@@ -581,8 +524,7 @@ TEST(ArtifactStore, PutLoadRoundTripAndRestart)
         std::vector<std::uint8_t> blob;
         ASSERT_TRUE(store.load(keyN(i), blob));
         EXPECT_EQ(blob, blobs[i]);
-        EXPECT_TRUE(
-            bitIdentical(results[i], decodeCompileResult(blob)));
+        EXPECT_EQ(artifactDiff(results[i], decodeCompileResult(blob)), "");
     }
     std::remove(path.c_str());
 }

@@ -360,6 +360,43 @@ TEST(Server, ZeroDeadlineIsDeterministic504)
     EXPECT_EQ(status, 200);
 }
 
+TEST(Server, MalformedDeadlineIs400AndServerKeepsServing)
+{
+    // deadline_ms parses like a numeric flag: NaN, overflow to
+    // infinity, hex and an empty value are rejected, in the query and
+    // in the X-Deadline-Ms header alike.
+    ServerFixture fx;
+    TestClient c = fx.client();
+    int status = 0;
+    std::string body;
+    for (const std::string bad : {"nan", "1e999", "0x10", ""}) {
+        ASSERT_TRUE(c.request(postCompile(kValidQasm, "?deadline_ms=" + bad),
+                              status, body))
+            << bad;
+        EXPECT_EQ(status, 400) << bad;
+        EXPECT_NE(body.find("\"fatal\""), std::string::npos) << bad;
+        EXPECT_NE(body.find("deadline_ms"), std::string::npos) << bad;
+
+        ASSERT_TRUE(c.request("POST /compile HTTP/1.1\r\nHost: t\r\n"
+                              "X-Deadline-Ms: " + bad +
+                                  "\r\nContent-Length: " +
+                                  std::to_string(
+                                      std::string(kValidQasm).size()) +
+                                  "\r\n\r\n" + kValidQasm,
+                              status, body))
+            << bad;
+        EXPECT_EQ(status, 400) << "header " << bad;
+        EXPECT_NE(body.find("\"fatal\""), std::string::npos) << bad;
+    }
+    // A negative value still disables the deadline, and the server
+    // keeps serving on the same connection.
+    ASSERT_TRUE(c.request(postCompile(kValidQasm, "?deadline_ms=-1"),
+                          status, body));
+    EXPECT_EQ(status, 200);
+    ASSERT_TRUE(c.request(postCompile(kValidQasm), status, body));
+    EXPECT_EQ(status, 200);
+}
+
 TEST(Server, OverloadShedsWith503)
 {
     // One worker, one queue slot. Each step gates on the server's own

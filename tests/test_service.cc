@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/registry.hh"
 #include "common/error.hh"
@@ -30,63 +31,7 @@
 namespace qompress {
 namespace {
 
-bool
-samePhysGates(const CompiledCircuit &a, const CompiledCircuit &b)
-{
-    if (a.numGates() != b.numGates())
-        return false;
-    for (int i = 0; i < a.numGates(); ++i) {
-        const PhysGate &x = a.gates()[i];
-        const PhysGate &y = b.gates()[i];
-        if (x.cls != y.cls || x.slots != y.slots ||
-            x.logical != y.logical || x.logical2 != y.logical2 ||
-            x.param != y.param || x.param2 != y.param2 ||
-            x.isRouting != y.isRouting || x.sourceGate != y.sourceGate ||
-            x.sourceGate2 != y.sourceGate2 ||
-            x.start != y.start || x.duration != y.duration ||
-            x.fidelity != y.fidelity)
-            return false;
-    }
-    return true;
-}
-
-bool
-sameLayout(const Layout &a, const Layout &b, int num_qubits)
-{
-    for (QubitId q = 0; q < num_qubits; ++q) {
-        if (a.slotOf(q) != b.slotOf(q))
-            return false;
-    }
-    return true;
-}
-
-::testing::AssertionResult
-sameResult(const CompileResult &a, const CompileResult &b,
-           int num_qubits)
-{
-    if (!samePhysGates(a.compiled, b.compiled))
-        return ::testing::AssertionFailure() << "physical gates differ";
-    if (a.compressions != b.compressions)
-        return ::testing::AssertionFailure() << "compressions differ";
-    if (a.metrics.gateEps != b.metrics.gateEps ||
-        a.metrics.coherenceEps != b.metrics.coherenceEps ||
-        a.metrics.totalEps != b.metrics.totalEps ||
-        a.metrics.durationNs != b.metrics.durationNs ||
-        a.metrics.numGates != b.metrics.numGates ||
-        a.metrics.numRoutingGates != b.metrics.numRoutingGates ||
-        a.metrics.numTwoUnitGates != b.metrics.numTwoUnitGates ||
-        a.metrics.numEncodedUnits != b.metrics.numEncodedUnits ||
-        a.metrics.classHistogram != b.metrics.classHistogram ||
-        a.metrics.qubitTimeNs != b.metrics.qubitTimeNs ||
-        a.metrics.ququartTimeNs != b.metrics.ququartTimeNs)
-        return ::testing::AssertionFailure() << "metrics differ";
-    if (!sameLayout(a.compiled.initialLayout(),
-                    b.compiled.initialLayout(), num_qubits) ||
-        !sameLayout(a.compiled.finalLayout(), b.compiled.finalLayout(),
-                    num_qubits))
-        return ::testing::AssertionFailure() << "layouts differ";
-    return ::testing::AssertionSuccess();
-}
+using bench::artifactDiff;
 
 std::vector<Topology>
 testTopologies()
@@ -134,8 +79,7 @@ TEST(ServiceIdentity, MatchesDirectCompileEverywhere)
             // Sync, one request at a time.
             for (std::size_t i = 0; i < reqs.size(); ++i) {
                 const CompileArtifact art = service.compileSync(reqs[i]);
-                EXPECT_TRUE(sameResult(*art, direct[i],
-                                       circuit.numQubits()))
+                EXPECT_EQ(artifactDiff(*art, direct[i]), "")
                     << "sync cache=" << cache_cap << " lanes=" << lanes
                     << " req=" << i;
             }
@@ -146,8 +90,7 @@ TEST(ServiceIdentity, MatchesDirectCompileEverywhere)
             ASSERT_EQ(handles.size(), reqs.size());
             for (std::size_t i = 0; i < handles.size(); ++i) {
                 const CompileArtifact art = handles[i].get();
-                EXPECT_TRUE(sameResult(*art, direct[i],
-                                       circuit.numQubits()))
+                EXPECT_EQ(artifactDiff(*art, direct[i]), "")
                     << "batch cache=" << cache_cap << " lanes=" << lanes
                     << " req=" << i;
             }
@@ -237,7 +180,7 @@ TEST(ServiceCache, DisabledCacheStillIdentical)
     const CompileArtifact a = service.compileSync(req);
     const CompileArtifact b = service.compileSync(req);
     EXPECT_NE(a.get(), b.get()); // distinct compiles...
-    EXPECT_TRUE(sameResult(*a, *b, circuit.numQubits())); // ...same bits
+    EXPECT_EQ(artifactDiff(*a, *b), ""); // ...same bits
     EXPECT_EQ(service.stats().hits, 0u);
     EXPECT_EQ(service.stats().misses, 2u);
 }
@@ -578,7 +521,7 @@ TEST(ServiceDiskTier, RestartWarmServesCatalogWithZeroCompiles)
     for (std::size_t i = 0; i < catalog.size(); ++i) {
         const CompileArtifact art = restarted.compileSync(catalog[i]);
         const Circuit c = catalog[i].resolveCircuit();
-        EXPECT_TRUE(sameResult(*art, *first[i], c.numQubits()))
+        EXPECT_EQ(artifactDiff(*art, *first[i]), "")
             << "catalog entry " << i;
     }
     const ServiceStats s = restarted.stats();
@@ -631,7 +574,7 @@ TEST(ServiceDiskTier, RebindArtifactsArePersistedToo)
     const CompileArtifact again =
         restarted.compileSync(CompileRequest::forCircuit(
             angleCircuit(0.2), topo, "eqm", CompilerConfig{}, lib));
-    EXPECT_TRUE(sameResult(*again, *first[1], 6));
+    EXPECT_EQ(artifactDiff(*again, *first[1]), "");
     const ServiceStats s = restarted.stats();
     EXPECT_EQ(s.diskHits, 1u);
     EXPECT_EQ(s.misses, 0u);
@@ -675,7 +618,7 @@ TEST(ServiceDiskTier, CorruptStoreRecordFallsBackToCompile)
     opts.storePath = path;
     CompilerService service(opts);
     const CompileArtifact art = service.compileSync(req);
-    EXPECT_TRUE(sameResult(*art, *direct, 6));
+    EXPECT_EQ(artifactDiff(*art, *direct), "");
     const ServiceStats s = service.stats();
     EXPECT_EQ(s.diskHits, 0u);
     EXPECT_EQ(s.misses, 1u);

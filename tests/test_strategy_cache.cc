@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
 #include "circuits/qaoa.hh"
@@ -28,69 +29,6 @@ const GateLibrary kLib;
 const std::vector<std::string> kStrategies = {
     "qubit_only", "eqm", "rb", "awe", "pp", "fq",
 };
-
-void
-expectSameLayout(const Layout &a, const Layout &b, const std::string &ctx)
-{
-    ASSERT_EQ(a.numQubits(), b.numQubits()) << ctx;
-    ASSERT_EQ(a.numSlots(), b.numSlots()) << ctx;
-    for (QubitId q = 0; q < a.numQubits(); ++q)
-        EXPECT_EQ(a.slotOf(q), b.slotOf(q)) << ctx << " qubit " << q;
-}
-
-void
-expectSameCompile(const CompileResult &cached,
-                  const CompileResult &uncached, const std::string &ctx)
-{
-    // Same chosen compressions...
-    ASSERT_EQ(cached.compressions.size(), uncached.compressions.size())
-        << ctx;
-    for (std::size_t i = 0; i < cached.compressions.size(); ++i) {
-        EXPECT_TRUE(cached.compressions[i] == uncached.compressions[i])
-            << ctx << " pair " << i;
-    }
-
-    // ...same placements...
-    expectSameLayout(cached.compiled.initialLayout(),
-                     uncached.compiled.initialLayout(),
-                     ctx + " initial layout");
-    expectSameLayout(cached.compiled.finalLayout(),
-                     uncached.compiled.finalLayout(),
-                     ctx + " final layout");
-
-    // ...same routed gate sequence, field by field...
-    ASSERT_EQ(cached.compiled.numGates(), uncached.compiled.numGates())
-        << ctx;
-    for (int i = 0; i < cached.compiled.numGates(); ++i) {
-        const PhysGate &x = cached.compiled.gates()[i];
-        const PhysGate &y = uncached.compiled.gates()[i];
-        EXPECT_EQ(x.cls, y.cls) << ctx << " gate " << i;
-        EXPECT_EQ(x.slots, y.slots) << ctx << " gate " << i;
-        EXPECT_EQ(x.logical, y.logical) << ctx << " gate " << i;
-        EXPECT_EQ(x.logical2, y.logical2) << ctx << " gate " << i;
-        EXPECT_EQ(x.param, y.param) << ctx << " gate " << i;
-        EXPECT_EQ(x.param2, y.param2) << ctx << " gate " << i;
-        EXPECT_EQ(x.isRouting, y.isRouting) << ctx << " gate " << i;
-        EXPECT_EQ(x.sourceGate, y.sourceGate) << ctx << " gate " << i;
-        EXPECT_EQ(x.start, y.start) << ctx << " gate " << i;
-        EXPECT_EQ(x.duration, y.duration) << ctx << " gate " << i;
-    }
-
-    // ...and bit-identical metrics (same gates -> same arithmetic).
-    EXPECT_EQ(cached.metrics.gateEps, uncached.metrics.gateEps) << ctx;
-    EXPECT_EQ(cached.metrics.coherenceEps, uncached.metrics.coherenceEps)
-        << ctx;
-    EXPECT_EQ(cached.metrics.totalEps, uncached.metrics.totalEps) << ctx;
-    EXPECT_EQ(cached.metrics.durationNs, uncached.metrics.durationNs)
-        << ctx;
-    EXPECT_EQ(cached.metrics.numGates, uncached.metrics.numGates) << ctx;
-    EXPECT_EQ(cached.metrics.numRoutingGates,
-              uncached.metrics.numRoutingGates)
-        << ctx;
-    EXPECT_EQ(cached.metrics.numEncodedUnits,
-              uncached.metrics.numEncodedUnits)
-        << ctx;
-}
 
 /** Compile with the shared cache on and off and demand identity. */
 void
@@ -110,7 +48,7 @@ expectCacheInvariant(const std::string &strategy, const Circuit &circuit,
     const CompileResult uncached =
         makeStrategy(strategy)->compile(circuit, topo, kLib, cfg);
 
-    expectSameCompile(cached, uncached, ctx);
+    EXPECT_EQ(bench::artifactDiff(cached, uncached), "") << ctx;
 }
 
 TEST(StrategyCache, AllStrategiesIdenticalOnRing)

@@ -17,6 +17,7 @@
 
 #include <cmath>
 
+#include "bench_util.hh"
 #include "circuits/bv.hh"
 #include "circuits/qaoa.hh"
 #include "circuits/registry.hh"
@@ -31,63 +32,7 @@
 namespace qompress {
 namespace {
 
-bool
-samePhysGates(const CompiledCircuit &a, const CompiledCircuit &b)
-{
-    if (a.numGates() != b.numGates())
-        return false;
-    for (int i = 0; i < a.numGates(); ++i) {
-        const PhysGate &x = a.gates()[i];
-        const PhysGate &y = b.gates()[i];
-        if (x.cls != y.cls || x.slots != y.slots ||
-            x.logical != y.logical || x.logical2 != y.logical2 ||
-            x.param != y.param || x.param2 != y.param2 ||
-            x.isRouting != y.isRouting || x.sourceGate != y.sourceGate ||
-            x.sourceGate2 != y.sourceGate2 ||
-            x.start != y.start || x.duration != y.duration ||
-            x.fidelity != y.fidelity)
-            return false;
-    }
-    return true;
-}
-
-bool
-sameLayout(const Layout &a, const Layout &b, int num_qubits)
-{
-    for (QubitId q = 0; q < num_qubits; ++q) {
-        if (a.slotOf(q) != b.slotOf(q))
-            return false;
-    }
-    return true;
-}
-
-::testing::AssertionResult
-sameResult(const CompileResult &a, const CompileResult &b,
-           int num_qubits)
-{
-    if (!samePhysGates(a.compiled, b.compiled))
-        return ::testing::AssertionFailure() << "physical gates differ";
-    if (a.compressions != b.compressions)
-        return ::testing::AssertionFailure() << "compressions differ";
-    if (a.metrics.gateEps != b.metrics.gateEps ||
-        a.metrics.coherenceEps != b.metrics.coherenceEps ||
-        a.metrics.totalEps != b.metrics.totalEps ||
-        a.metrics.durationNs != b.metrics.durationNs ||
-        a.metrics.numGates != b.metrics.numGates ||
-        a.metrics.numRoutingGates != b.metrics.numRoutingGates ||
-        a.metrics.numTwoUnitGates != b.metrics.numTwoUnitGates ||
-        a.metrics.numEncodedUnits != b.metrics.numEncodedUnits ||
-        a.metrics.classHistogram != b.metrics.classHistogram ||
-        a.metrics.qubitTimeNs != b.metrics.qubitTimeNs ||
-        a.metrics.ququartTimeNs != b.metrics.ququartTimeNs)
-        return ::testing::AssertionFailure() << "metrics differ";
-    if (!sameLayout(a.compiled.initialLayout(),
-                    b.compiled.initialLayout(), num_qubits) ||
-        !sameLayout(a.compiled.finalLayout(), b.compiled.finalLayout(),
-                    num_qubits))
-        return ::testing::AssertionFailure() << "layouts differ";
-    return ::testing::AssertionSuccess();
-}
+using bench::artifactDiff;
 
 std::vector<Topology>
 testTopologies()
@@ -182,8 +127,7 @@ TEST(TemplateRebind, MatchesFullCompileForEveryStrategyAndTopology)
                 rebindTemplate(tpl, other, lib);
             const CompileResult direct =
                 strat->compile(other, topo, lib, cfg);
-            EXPECT_TRUE(
-                sameResult(rebound, direct, other.numQubits()))
+            EXPECT_EQ(artifactDiff(rebound, direct), "")
                 << strat->name() << " on " << topo.name();
             EXPECT_EQ(rebound.compiled.name(), other.name());
         }
@@ -215,7 +159,7 @@ TEST(TemplateRebind, PatchesFusedSqEncBothPairs)
         std::make_shared<const CompileResult>(base), exemplar);
     const CompileResult rebound = rebindTemplate(tpl, other, lib);
     const CompileResult direct = strat->compile(other, topo, lib, {});
-    EXPECT_TRUE(sameResult(rebound, direct, other.numQubits()));
+    EXPECT_EQ(artifactDiff(rebound, direct), "");
 }
 
 TEST(TemplateRebind, SlotCountMismatchPanics)
@@ -270,12 +214,10 @@ TEST(ServiceTemplateTier, ServesAngleVariantsByRebindEverywhere)
                      CompileRequest::forCircuit(c, topo, strat->name(),
                                                 cfg, lib)});
                 expect_hits += 2;
-                EXPECT_TRUE(sameResult(*handles[0].get(), direct_b,
-                                       b.numQubits()))
+                EXPECT_EQ(artifactDiff(*handles[0].get(), direct_b), "")
                     << strat->name() << " on " << topo.name() << " at "
                     << lanes << " lanes";
-                EXPECT_TRUE(sameResult(*handles[1].get(), direct_c,
-                                       c.numQubits()))
+                EXPECT_EQ(artifactDiff(*handles[1].get(), direct_c), "")
                     << strat->name() << " on " << topo.name() << " at "
                     << lanes << " lanes";
             }
@@ -315,7 +257,7 @@ TEST(ServiceTemplateTier, FullCompileKnobBypassesTheTier)
         CompileRequest::forCircuit(b, topo, "eqm", {}, lib));
     s = service.stats();
     EXPECT_EQ(s.templateHits, 1u);
-    EXPECT_TRUE(sameResult(*via_full, *via_rebind, b.numQubits()));
+    EXPECT_EQ(artifactDiff(*via_full, *via_rebind), "");
 }
 
 TEST(ServiceTemplateTier, UnparameterizedCircuitsBypassTheTier)
@@ -453,12 +395,12 @@ TEST(SweepParamGrid, ParallelGridMatchesSerialGrid)
     EXPECT_GE(pstats.templateHits, 1u);
 }
 
-TEST(SweepParamGrid, PortfolioRidesTheMemberTemplates)
+TEST(SweepParamGrid, PortfolioRowsRebindLikeFullCompiles)
 {
-    // The portfolio's internal service rebinding its members must not
-    // change winners: records equal a portfolio sweep with templates
-    // effectively cold (every row forced through full compiles by a
-    // fresh spec without reuse -- rows are independent requests).
+    // The sweep's template tier full-compiles the portfolio once and
+    // rebinds its winning artifact for the other angle rows. That must
+    // not change winners: every row equals a direct portfolio compile
+    // of its bound instance.
     SweepSpec spec;
     spec.families = {"qaoa_random"};
     spec.sizes = {8};

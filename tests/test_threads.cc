@@ -116,37 +116,6 @@ TEST(ThreadPool, SingleLanePoolRunsEverythingInline)
 
 // ---------------------------------------------- exhaustive determinism
 
-void
-expectIdenticalCompiles(const CompileResult &a, const CompileResult &b,
-                        const std::string &ctx)
-{
-    ASSERT_EQ(a.compressions.size(), b.compressions.size()) << ctx;
-    for (std::size_t i = 0; i < a.compressions.size(); ++i)
-        EXPECT_TRUE(a.compressions[i] == b.compressions[i])
-            << ctx << " pair " << i;
-
-    ASSERT_EQ(a.compiled.numGates(), b.compiled.numGates()) << ctx;
-    for (int i = 0; i < a.compiled.numGates(); ++i) {
-        const PhysGate &x = a.compiled.gates()[i];
-        const PhysGate &y = b.compiled.gates()[i];
-        EXPECT_EQ(x.cls, y.cls) << ctx << " gate " << i;
-        EXPECT_EQ(x.slots, y.slots) << ctx << " gate " << i;
-        EXPECT_EQ(x.logical, y.logical) << ctx << " gate " << i;
-        EXPECT_EQ(x.param, y.param) << ctx << " gate " << i;
-        EXPECT_EQ(x.isRouting, y.isRouting) << ctx << " gate " << i;
-        EXPECT_EQ(x.sourceGate, y.sourceGate) << ctx << " gate " << i;
-        EXPECT_EQ(x.start, y.start) << ctx << " gate " << i;
-    }
-    for (QubitId q = 0; q < a.compiled.finalLayout().numQubits(); ++q)
-        EXPECT_EQ(a.compiled.finalLayout().slotOf(q),
-                  b.compiled.finalLayout().slotOf(q))
-            << ctx << " qubit " << q;
-
-    EXPECT_EQ(a.metrics.gateEps, b.metrics.gateEps) << ctx;
-    EXPECT_EQ(a.metrics.totalEps, b.metrics.totalEps) << ctx;
-    EXPECT_EQ(a.metrics.durationNs, b.metrics.durationNs) << ctx;
-}
-
 /** Serial (threads=1) vs 2- and 8-lane exhaustive compiles. */
 void
 expectLaneCountInvariant(const Circuit &circuit, const Topology &topo)
@@ -162,10 +131,9 @@ expectLaneCountInvariant(const Circuit &circuit, const Topology &topo)
         cfg.threads = lanes;
         const CompileResult pooled =
             makeStrategy("ec")->compile(circuit, topo, lib, cfg);
-        expectIdenticalCompiles(serial, pooled,
-                                circuit.name() + " / " + topo.name() +
-                                    " / " + std::to_string(lanes) +
-                                    " lanes");
+        EXPECT_EQ(bench::artifactDiff(serial, pooled), "")
+            << circuit.name() << " / " << topo.name() << " / " << lanes
+            << " lanes";
     }
 }
 
@@ -201,7 +169,8 @@ TEST(ExhaustiveDeterminism, UnorderedVariantToo)
     cfg.threads = 4;
     const CompileResult pooled =
         makeStrategy("ec_unordered")->compile(bv, topo, lib, cfg);
-    expectIdenticalCompiles(serial, pooled, "ec_unordered / grid6");
+    EXPECT_EQ(bench::artifactDiff(serial, pooled), "")
+        << "ec_unordered / grid6";
 }
 
 // ------------------------------------------------ sweep determinism
@@ -325,7 +294,7 @@ expectPortfolioLaneInvariant(const Circuit &circuit,
                                 " / " + std::to_string(lanes) +
                                 " lanes";
         EXPECT_EQ(portfolio.lastWinner(), serial_winner) << ctx;
-        expectIdenticalCompiles(serial, pooled, ctx);
+        EXPECT_EQ(bench::artifactDiff(serial, pooled), "") << ctx;
     }
 }
 
