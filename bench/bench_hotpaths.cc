@@ -57,6 +57,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -141,6 +142,18 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** Median of per-trial ratios. A same-run margin gated on one trial
+ *  fails on a single scheduler stall; the median of >= 5 does not. */
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size() / 2;
+    return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
 }
 
 struct SimResult
@@ -772,6 +785,7 @@ struct TemplateBenchResult
 {
     double cold_t1_ms, cold_t2_ms, cold_t4_ms, cold_t8_ms;
     double rebind_t1_ms, rebind_t2_ms, rebind_t4_ms, rebind_t8_ms;
+    double rebind_speedup;  // median over reps of cold/rebind at 1 lane
     bool identical;         // rebound artifacts == full-compile artifacts
     std::uint64_t angles;   // grid points per pass
     std::uint64_t template_hits;   // tier counters observed at 1 lane
@@ -827,8 +841,8 @@ benchTemplate(int reps, int rounds, int num_angles)
         sopts.threads = lanes;
         CompilerService service(sopts);
 
+        // Milliseconds for one pass over @p reqs.
         auto run_pass = [&](const std::vector<CompileRequest> &reqs,
-                            double &ms_acc,
                             std::vector<CompileArtifact> *out) {
             const auto t0 = Clock::now();
             auto handles = service.submitBatch(reqs, lanes);
@@ -837,29 +851,32 @@ benchTemplate(int reps, int rounds, int num_angles)
                 if (out)
                     (*out)[i] = std::move(a);
             }
-            ms_acc += 1e3 * secondsSince(t0);
+            return 1e3 * secondsSince(t0);
         };
 
         // Discarded warm-up: spawns the lane pool and grows the
         // allocator on the compile-heavy path.
-        double discard = 0.0;
-        run_pass(full_reqs, discard, nullptr);
+        run_pass(full_reqs, nullptr);
 
         double cold_ms = 0.0, rebind_ms = 0.0;
+        std::vector<double> ratios;
         std::vector<CompileArtifact> cold(full_reqs.size());
         std::vector<CompileArtifact> rebound(rebind_reqs.size());
         for (int r = 0; r < reps; ++r) {
             // Cold: every grid point pays the full pipeline (the memo
             // was cleared, and fullCompile bypasses the templates).
             service.clearCache();
-            run_pass(full_reqs, cold_ms, r == 0 ? &cold : nullptr);
+            const double c = run_pass(full_reqs, r == 0 ? &cold : nullptr);
             // Rebind: one off-grid full compile plants the template
             // (untimed), then the whole grid rides it.
             service.clearCache();
             service.compileSync(CompileRequest::forCircuit(
                 exemplar, topo, strat, cfg, lib));
-            run_pass(rebind_reqs, rebind_ms,
-                     r == 0 ? &rebound : nullptr);
+            const double b =
+                run_pass(rebind_reqs, r == 0 ? &rebound : nullptr);
+            cold_ms += c;
+            rebind_ms += b;
+            ratios.push_back(b > 0.0 ? c / b : 0.0);
         }
         cold_ms /= reps;
         rebind_ms /= reps;
@@ -872,6 +889,7 @@ benchTemplate(int reps, int rounds, int num_angles)
         case 1: {
             res.cold_t1_ms = cold_ms;
             res.rebind_t1_ms = rebind_ms;
+            res.rebind_speedup = median(ratios);
             const ServiceStats stats = service.stats();
             res.template_hits = stats.templateHits;
             res.template_misses = stats.templateMisses;
@@ -899,6 +917,7 @@ struct PersistBenchResult
     double cold_ms; // no store, memo cleared per pass: full pipeline
     double disk_ms; // store warm, memo cleared per pass: decode path
     double memo_ms; // memo warm: request fingerprint + map lookup
+    double disk_speedup; // median over trials of cold/disk
     bool identical; // disk-loaded artifacts == direct strategy compiles
     std::uint64_t requests;    // catalog size per pass
     std::uint64_t disk_hits;   // observed on the warm-restarted service
@@ -957,7 +976,8 @@ benchPersist(int reps, int sizes_hi)
 
     // Synchronous passes: the tiers differ in decode-vs-compile cost,
     // which batch/pool dispatch overhead would mask at this scale.
-    auto run_pass = [&](CompilerService &service, double &ms_acc,
+    // Each returns its milliseconds.
+    auto run_pass = [&](CompilerService &service,
                         std::vector<CompileArtifact> *out) {
         const auto t0 = Clock::now();
         for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -965,22 +985,14 @@ benchPersist(int reps, int sizes_hi)
             if (out)
                 (*out)[i] = std::move(a);
         }
-        ms_acc += 1e3 * secondsSince(t0);
+        return 1e3 * secondsSince(t0);
     };
 
     // Cold baseline: no store, memo dropped before every timed pass.
-    {
-        ServiceOptions sopts;
-        sopts.threads = 1;
-        CompilerService service(sopts);
-        double discard = 0.0;
-        run_pass(service, discard, nullptr); // allocator/context warm-up
-        for (int r = 0; r < reps; ++r) {
-            service.clearCache();
-            run_pass(service, res.cold_ms, nullptr);
-        }
-        res.cold_ms /= reps;
-    }
+    ServiceOptions cold_opts;
+    cold_opts.threads = 1;
+    CompilerService cold_service(cold_opts);
+    run_pass(cold_service, nullptr); // allocator/context warm-up
 
     // Prime the store: one pass on a store-backed service writes the
     // whole catalog behind the misses.
@@ -989,35 +1001,50 @@ benchPersist(int reps, int sizes_hi)
         sopts.threads = 1;
         sopts.storePath = store_path;
         CompilerService service(sopts);
-        double discard = 0.0;
-        run_pass(service, discard, nullptr);
+        run_pass(service, nullptr);
         const ServiceStats stats = service.stats();
         res.disk_writes = stats.diskWrites;
         res.store_bytes = stats.storeBytes;
     }
 
-    // Warm restart: a fresh service on the primed store. Disk passes
-    // drop the memo first so every request rides the disk tier; the
-    // memo passes afterwards ride the in-memory tier. Both passes are
-    // microseconds-scale, so batch them for a stable timer window.
+    // Warm restart: a fresh service on the primed store. Each trial
+    // times one cold pass and, back to back, a disk batch that drops
+    // the memo before every pass so each request rides the disk tier
+    // (microseconds-scale passes, batched for a stable timer window);
+    // the margin is the median of the per-trial ratios. The memo
+    // passes afterwards ride the in-memory tier.
     {
         ServiceOptions sopts;
         sopts.threads = 1;
         sopts.storePath = store_path;
         CompilerService service(sopts);
-        const int disk_iters = reps * 20;
+        constexpr int kDiskPassesPerTrial = 20;
         std::vector<CompileArtifact> artifacts(reqs.size());
-        for (int it = 0; it < disk_iters; ++it) {
-            service.clearCache(); // drops memo+templates, not the store
-            run_pass(service, res.disk_ms,
-                     it == 0 ? &artifacts : nullptr);
+        std::vector<double> ratios;
+        for (int r = 0; r < reps; ++r) {
+            cold_service.clearCache();
+            const double cold = run_pass(cold_service, nullptr);
+            double disk = 0.0;
+            for (int it = 0; it < kDiskPassesPerTrial; ++it) {
+                service.clearCache(); // drops memo+templates, not the store
+                disk += run_pass(service, r == 0 && it == 0 ? &artifacts
+                                                            : nullptr);
+            }
+            disk /= kDiskPassesPerTrial;
+            res.cold_ms += cold;
+            res.disk_ms += disk;
+            ratios.push_back(disk > 0.0 ? cold / disk : 0.0);
         }
-        res.disk_ms /= disk_iters;
+        res.cold_ms /= reps;
+        res.disk_ms /= reps;
+        res.disk_speedup = median(ratios);
 
-        const int memo_iters = disk_iters * 5; // ~micros each; drown scheduler jitter
+        // ~micros each; drown scheduler jitter
+        const int memo_iters = reps * kDiskPassesPerTrial * 5;
+        double memo_ms = 0.0;
         for (int it = 0; it < memo_iters; ++it)
-            run_pass(service, res.memo_ms, nullptr);
-        res.memo_ms /= memo_iters;
+            memo_ms += run_pass(service, nullptr);
+        res.memo_ms = memo_ms / memo_iters;
 
         const ServiceStats stats = service.stats();
         res.disk_hits = stats.diskHits;
@@ -1174,17 +1201,14 @@ main(int argc, char **argv)
     // stay safe.
     const int service_reps = check ? 2 : (args.quick ? 2 : 4);
     const int service_hi = check ? 10 : (args.quick ? 12 : 14);
-    // The rebind/cold ratio gates --check; the margin is wide
-    // (kTemplateRebindMargin vs a real ~100x on this workload), so
-    // small rep counts and fewer rounds stay safe.
-    const int template_reps = check ? 1 : (args.quick ? 2 : 3);
+    // The rebind/cold and disk-warm/cold ratios gate --check, each as
+    // the median of per-trial ratios: single trials read ~9-18x and
+    // ~5-11x against margins of 10x and 5x, so one stalled pass could
+    // fail them. Every mode runs >= 5 trials.
+    const int template_reps = args.quick || check ? 5 : 7;
     const int template_rounds = check ? 1 : 2;
     const int template_angles = 20;
-    // The disk-warm/cold ratio gates --check; the margin is wide
-    // (kPersistDiskWarmMargin vs a real >= 100x: a decode pass costs
-    // microseconds against milliseconds of compiles), and the cheap
-    // disk/memo passes are internally batched 10x per rep.
-    const int persist_reps = check ? 2 : (args.quick ? 2 : 4);
+    const int persist_reps = args.quick || check ? 5 : 7;
     // Must differ from the grid's base size (12) in every mode: equal
     // sizes would collapse the catalog to duplicate keys, which the
     // write-behind dedup guard would surface as disk_writes < requests.
@@ -1228,10 +1252,8 @@ main(int argc, char **argv)
         pd.pade_ms > 0.0 ? pd.taylor_ms / pd.pade_ms : 0.0;
     const double service_warm_speedup =
         sv.warm_t1_ms > 0.0 ? sv.cold_t1_ms / sv.warm_t1_ms : 0.0;
-    const double template_rebind_speedup =
-        tm.rebind_t1_ms > 0.0 ? tm.cold_t1_ms / tm.rebind_t1_ms : 0.0;
-    const double persist_disk_speedup =
-        ps.disk_ms > 0.0 ? ps.cold_ms / ps.disk_ms : 0.0;
+    const double template_rebind_speedup = tm.rebind_speedup;
+    const double persist_disk_speedup = ps.disk_speedup;
     const double persist_memo_speedup =
         ps.memo_ms > 0.0 ? ps.cold_ms / ps.memo_ms : 0.0;
 

@@ -3,7 +3,8 @@
 namespace qompress {
 
 ExpandedGraph::ExpandedGraph(const Topology &topo)
-    : topo_(&topo), graph_(2 * topo.numUnits())
+    : topo_(&topo), graph_(2 * topo.numUnits()),
+      center_(topo.centerUnit())
 {
     for (UnitId u = 0; u < topo.numUnits(); ++u)
         graph_.addEdge(makeSlot(u, 0), makeSlot(u, 1));

@@ -36,6 +36,10 @@ class ExpandedGraph
     /** The topology this expansion was built from. */
     const Topology &topology() const { return *topo_; }
 
+    /** Topology::centerUnit(), computed once at construction (the
+     *  mapper's seed unit; V BFS runs per call on the topology). */
+    UnitId centerUnit() const { return center_; }
+
     /** True iff two slots may host a 2-operand gate directly. */
     bool adjacent(SlotId a, SlotId b) const
     {
@@ -51,6 +55,7 @@ class ExpandedGraph
   private:
     const Topology *topo_;
     Graph graph_;
+    UnitId center_;
 };
 
 } // namespace qompress

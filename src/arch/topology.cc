@@ -8,7 +8,6 @@
 
 #include "common/error.hh"
 #include "common/strings.hh"
-#include "graph/algorithms.hh"
 
 namespace qompress {
 
@@ -40,15 +39,34 @@ Topology::Topology(Graph coupling, std::string name)
 UnitId
 Topology::centerUnit() const
 {
+    // One BFS per unit over a flat copy of the coupling lists; the
+    // first unit of minimum eccentricity (over the units it reaches)
+    // wins, so a BFS stops once it reaches the best so far.
     const int n = numUnits();
+    std::vector<int> offset(n + 1, 0), target;
+    target.reserve(2 * static_cast<std::size_t>(numEdges()));
+    for (UnitId v = 0; v < n; ++v) {
+        for (const auto &e : coupling_.neighbors(v))
+            target.push_back(e.to);
+        offset[v + 1] = static_cast<int>(target.size());
+    }
     UnitId best = 0;
-    double best_ecc = ShortestPaths::kInf;
+    int best_ecc = n;
+    std::vector<int> level(n), queue(n);
     for (UnitId u = 0; u < n; ++u) {
-        const auto sp = bfs(coupling_, u);
-        double ecc = 0.0;
-        for (double d : sp.dist) {
-            if (d != ShortestPaths::kInf)
-                ecc = std::max(ecc, d);
+        std::fill(level.begin(), level.end(), -1);
+        level[u] = 0;
+        queue[0] = u;
+        int head = 0, tail = 1, ecc = 0;
+        while (head < tail && ecc < best_ecc) {
+            const int x = queue[head++];
+            ecc = level[x];
+            for (int k = offset[x]; k < offset[x + 1]; ++k) {
+                if (level[target[k]] < 0) {
+                    level[target[k]] = ecc + 1;
+                    queue[tail++] = target[k];
+                }
+            }
         }
         if (ecc < best_ecc) {
             best_ecc = ecc;

@@ -8,8 +8,10 @@
 #ifndef QOMPRESS_COMPILER_COST_MODEL_HH
 #define QOMPRESS_COMPILER_COST_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "arch/expanded_graph.hh"
 #include "arch/gate_library.hh"
@@ -22,7 +24,16 @@ struct DeviceCalibration;
 
 /**
  * Prices gates and swap paths against a layout's current encoding
- * state. The model holds references only; callers own the pieces.
+ * state. The model references the graph, library and calibration;
+ * callers own them.
+ *
+ * A SWAP's price depends on the layout only through the encoded bits
+ * of its two units, so construction prices every directed
+ * expanded-graph edge once per encoding pair (swap and routing-hop
+ * tables), and the distance fields look edges up instead of
+ * re-deriving Eq. 4 per relaxation. The tables price the GateLibrary
+ * and calibration as they were at construction: mutate neither under
+ * a live model (the per-call pricers below read them live).
  *
  * With a DeviceCalibration the per-unit T1 arrays replace the two
  * GateLibrary constants in every decay term, and cross-unit gates pick
@@ -43,7 +54,14 @@ class CostModel
                        const Layout &layout) const;
 
     /** -log success of a SWAP across expanded-graph edge (a, b). */
-    double swapCost(SlotId a, SlotId b, const Layout &layout) const;
+    double swapCost(SlotId a, SlotId b, const Layout &layout) const
+    {
+        return swapCost(a, b, layout.unitEncoded(slotUnit(a)),
+                        layout.unitEncoded(slotUnit(b)));
+    }
+
+    /** swapCost with the encoded bits of a's and b's units given. */
+    double swapCost(SlotId a, SlotId b, bool enc_a, bool enc_b) const;
 
     /**
      * Routing edge cost: swapCost with the avoid-through-ququarts
@@ -97,13 +115,26 @@ class CostModel
     const DeviceCalibration *calibration() const { return cal_; }
 
   private:
-    double unitDecay(UnitId u, double duration,
-                     const Layout &layout) const;
+    /** gateSuccess with the encoded bits of a's and b's units given
+     *  (@p enc_b is ignored unless the gate spans two units). */
+    double gateSuccess(PhysGateClass c, SlotId a, SlotId b, bool enc_a,
+                       bool enc_b) const;
+    /** exp(-duration / T1) of unit @p u in the given state. */
+    double unitDecay(UnitId u, bool encoded, double duration) const;
+    void buildPriceTables();
 
     const ExpandedGraph *xg_;
     const GateLibrary *lib_;
     double penalty_;
     const DeviceCalibration *cal_;
+
+    /** @name Edge price tables. Directed edge (u -> i-th neighbour of
+     *  u) owns entries [4 * (edgeBase_[u] + i), +4), indexed by
+     *  enc(u) * 2 + enc(neighbour). @{ */
+    std::vector<std::size_t> edgeBase_;
+    std::vector<double> swapPrice_; ///< swapCost
+    std::vector<double> hopPrice_;  ///< routingHopCost, into occupied
+    /** @} */
 };
 
 /**
@@ -134,11 +165,10 @@ class CostModel
  * from scratch each round; the exhaustive strategy compiles hundreds
  * of candidate layouts) and still never serves a stale field.
  *
- * The cache must not outlive mutations of the underlying GateLibrary's
- * durations/fidelities (sensitivity sweeps): those change edge costs
- * without bumping any layout version. Layout::recordMutation() can
- * force invalidation in that case; otherwise scope one cache per
- * compile, as CompileContext does.
+ * A GateLibrary or calibration change (sensitivity sweeps) needs a
+ * new CostModel, and so a new cache: the model's price tables
+ * snapshot both at construction, which Layout::recordMutation()
+ * cannot refresh.
  */
 class DistanceFieldCache
 {

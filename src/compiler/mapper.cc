@@ -26,20 +26,6 @@ partnerTable(int num_qubits, const std::vector<Compression> &pairs)
     return partner;
 }
 
-namespace {
-
-/** Is @p q the position-1 (second) element of its pair? */
-bool
-isPairSecond(QubitId q, const std::vector<Compression> &pairs)
-{
-    return std::any_of(pairs.begin(), pairs.end(),
-                       [q](const Compression &p) {
-                           return p.second == q;
-                       });
-}
-
-} // namespace
-
 Layout
 mapCircuit(const Circuit &circuit, const InteractionModel &im,
            const CostModel &cost, const MapperOptions &opts,
@@ -51,6 +37,10 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
     Layout layout(n, topo.numUnits());
 
     const auto partner = partnerTable(n, opts.pairs);
+    // is_second[q]: q is the position-1 element of its pair.
+    std::vector<bool> is_second(n, false);
+    for (const auto &p : opts.pairs)
+        is_second[p.second] = true;
 
     // Capacity check: pairs use one unit, everything else needs its own
     // position-0 slot unless dynamic slot-1 use is on.
@@ -105,9 +95,9 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
         return im.totalWeight(a) > im.totalWeight(b);
     });
     QubitId seed = order.front();
-    if (isPairSecond(seed, opts.pairs))
+    if (is_second[seed])
         seed = partner[seed];
-    layout.place(seed, makeSlot(topo.centerUnit(), 0));
+    layout.place(seed, makeSlot(xg.centerUnit(), 0));
 
     while (layout.numMapped() < n) {
         // Pick the unmapped qubit with the strongest ties to the placed
@@ -119,7 +109,7 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
         for (QubitId q : order) {
             if (layout.isMapped(q))
                 continue;
-            if (isPairSecond(q, opts.pairs) && !layout.isMapped(partner[q])) {
+            if (is_second[q] && !layout.isMapped(partner[q])) {
                 if (fallback == kInvalid)
                     fallback = partner[q];
                 continue;
@@ -174,7 +164,7 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
             if (fields.empty()) {
                 // Untied qubit: prefer staying near the center.
                 fields.emplace_back(
-                    1.0, fetch(makeSlot(topo.centerUnit(), 0)));
+                    1.0, fetch(makeSlot(xg.centerUnit(), 0)));
             }
             double best_score = ShortestPaths::kInf;
             for (SlotId s : cands) {

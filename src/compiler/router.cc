@@ -115,6 +115,7 @@ routeTwoQubitGate(const Gate &g, int gate_idx, Layout &layout,
                         &get_field(layout.slotOf(p), ahead_holder);
                 }
             }
+            SlotId best_x = kInvalid;
             for (SlotId x = 0; x < layout.numSlots(); ++x) {
                 if (x == toward || field.dist[x] == ShortestPaths::kInf)
                     continue;
@@ -130,9 +131,11 @@ routeTwoQubitGate(const Gate &g, int gate_idx, Layout &layout,
                 }
                 if (total < plan.total) {
                     plan.total = total;
-                    plan.path = field.pathTo(x);
+                    best_x = x;
                 }
             }
+            if (best_x != kInvalid)
+                plan.path = field.pathTo(best_x);
             return plan;
         };
         const Plan plan_a = plan_move(a, b, true);
@@ -353,7 +356,6 @@ void
 validateCompiled(const CompiledCircuit &compiled, const Topology &topo)
 {
     Layout layout = compiled.initialLayout();
-    const ExpandedGraph xg(topo);
 
     for (const auto &g : compiled.gates()) {
         // Structural checks.

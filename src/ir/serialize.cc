@@ -21,20 +21,38 @@ constexpr std::uint8_t kMaxGateSlots = 4;
  *  2 i32s); used to bound a declared gate count by the bytes present. */
 constexpr std::size_t kMinGateBytes = 5 + 5 * 8 + 2 * 4;
 
-const std::uint32_t *
-crcTable()
+/** Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+ *  bytewise table; t[k][i] advances t[k-1][i] by one more zero byte. */
+using CrcTables = std::uint32_t[8][256];
+
+const CrcTables &
+crcTables()
 {
-    static const auto table = [] {
-        static std::uint32_t t[256];
+    static const auto *tables = [] {
+        static CrcTables t;
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
-        return t;
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            for (int k = 1; k < 8; ++k)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+        }
+        return &t;
     }();
-    return table;
+    return *tables;
+}
+
+/** Little-endian u32 at @p p (any alignment). */
+std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -42,11 +60,22 @@ crcTable()
 std::uint32_t
 crc32(const void *data, std::size_t n, std::uint32_t seed)
 {
-    const std::uint32_t *table = crcTable();
+    const CrcTables &t = crcTables();
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    // Eight bytes per step: the running CRC folds into the first four,
+    // and each byte's contribution is looked up by its distance from
+    // the end of the block.
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = loadLe32(p) ^ c;
+        const std::uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

@@ -299,7 +299,7 @@ FullQuquartStrategy::compile(const Circuit &circuit, const Topology &topo,
         }
         return wa > wb;
     });
-    place_node(order[0], topo.centerUnit());
+    place_node(order[0], ctx.expanded().centerUnit());
     for (int oi = 1; oi < num_nodes; ++oi) {
         // Most-connected-to-placed next.
         int best_node = -1;

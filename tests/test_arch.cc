@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/device.hh"
 #include "arch/expanded_graph.hh"
 #include "arch/gate_library.hh"
 #include "arch/topology.hh"
@@ -63,6 +64,49 @@ TEST(Topology, CenterOfGrid)
 {
     const Topology t = Topology::gridExplicit(3, 3);
     EXPECT_EQ(t.centerUnit(), 4);
+}
+
+/** The centre by definition: the first unit of minimum eccentricity
+ *  (over the units it reaches), from one bfs() per unit. */
+UnitId
+referenceCenter(const Topology &t)
+{
+    UnitId best = 0;
+    double best_ecc = ShortestPaths::kInf;
+    for (UnitId u = 0; u < t.numUnits(); ++u) {
+        double ecc = 0.0;
+        for (double d : bfs(t.graph(), u).dist) {
+            if (d != ShortestPaths::kInf)
+                ecc = std::max(ecc, d);
+        }
+        if (ecc < best_ecc) {
+            best_ecc = ecc;
+            best = u;
+        }
+    }
+    return best;
+}
+
+TEST(ExpandedGraph, CenterMatchesTopologyAcrossZoo)
+{
+    std::vector<Topology> topos;
+    const DeviceRegistry reg;
+    for (const std::string &name : reg.names())
+        topos.push_back(reg.get(name).topology);
+    for (int n : {3, 7, 8})
+        topos.push_back(Topology::ring(n));
+    topos.push_back(Topology::line(1));
+    topos.push_back(Topology::line(9));
+    topos.push_back(Topology::grid(10));
+    topos.push_back(Topology::complete(5));
+    // Two components: eccentricity counts reachable units only.
+    topos.push_back(Topology::fromEdgeList(
+        {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}}, "split"));
+    for (const Topology &t : topos) {
+        const ExpandedGraph xg(t);
+        EXPECT_EQ(xg.centerUnit(), t.centerUnit()) << t.name();
+        EXPECT_EQ(t.centerUnit(), referenceCenter(t)) << t.name();
+    }
 }
 
 TEST(ExpandedGraph, NodeAndEdgeCounts)

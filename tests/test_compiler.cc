@@ -8,9 +8,11 @@
 
 #include <cmath>
 
+#include "arch/device.hh"
 #include "circuits/arithmetic.hh"
 #include "circuits/cnu.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "compiler/pipeline.hh"
 #include "ir/passes.hh"
 
@@ -80,6 +82,74 @@ TEST(CostModel, ThroughQuquartPenaltyApplies)
     const double with =
         penal.routingHopCost(makeSlot(0, 0), makeSlot(1, 0), layout);
     EXPECT_NEAR(with, 2.0 * base, 1e-12);
+}
+
+/**
+ * The table-priced distance fields equal Dijkstra over the per-call
+ * pricers, dist and parent bit for bit: every zoo device, under no
+ * calibration, a neutral one, and per-unit T1s with per-coupling
+ * fidelity/duration scales, on seeded layouts that mix empty, bare
+ * (either position) and encoded units.
+ */
+TEST(CostModel, TablePricedFieldsMatchPerCallDijkstra)
+{
+    const DeviceRegistry reg;
+    Rng rng(20231);
+    for (const std::string &name : reg.names()) {
+        const Topology topo = reg.get(name).topology;
+        const int units = topo.numUnits();
+        const ExpandedGraph xg(topo);
+
+        std::vector<std::shared_ptr<const DeviceCalibration>> cals{
+            nullptr,
+            std::make_shared<DeviceCalibration>(DeviceCalibration::uniform(
+                name, units, kLib.t1Qubit(), kLib.t1Ququart()))};
+        auto scaled = std::make_shared<DeviceCalibration>(
+            DeviceCalibration::uniform(name, units, kLib.t1Qubit(),
+                                       kLib.t1Ququart(), 0.01));
+        for (UnitId u = 0; u < units; ++u) {
+            scaled->t1QubitNs[u] = rng.nextDouble(60e3, 250e3);
+            scaled->t1QuquartNs[u] = rng.nextDouble(20e3, 80e3);
+        }
+        for (const auto &e : topo.graph().edges()) {
+            if (rng.nextBool(0.7)) {
+                scaled->setEdge(e.u, e.v, rng.nextDouble(0.9, 1.0),
+                                rng.nextDouble(0.7, 1.5));
+            }
+        }
+        cals.push_back(scaled);
+
+        for (const auto &cal : cals) {
+            const CostModel cost(xg, kLib, 1.25, cal.get());
+            for (int trial = 0; trial < 3; ++trial) {
+                const int qubits = rng.nextInt(1, 2 * units);
+                std::vector<SlotId> slots(2 * units);
+                for (SlotId s = 0; s < 2 * units; ++s)
+                    slots[s] = s;
+                rng.shuffle(slots);
+                Layout layout(qubits, units);
+                for (QubitId q = 0; q < qubits; ++q)
+                    layout.place(q, slots[q]);
+                for (int k = 0; k < 3; ++k) {
+                    const SlotId src = rng.nextInt(0, 2 * units - 1);
+                    const auto map_ref = dijkstra(
+                        xg.graph(), src, [&](int u, int v, double) {
+                            return cost.swapCost(u, v, layout);
+                        });
+                    const auto map = cost.mappingDistances(src, layout);
+                    EXPECT_EQ(map.dist, map_ref.dist) << name;
+                    EXPECT_EQ(map.parent, map_ref.parent) << name;
+                    const auto route_ref = dijkstra(
+                        xg.graph(), src, [&](int u, int v, double) {
+                            return cost.routingHopCost(u, v, layout);
+                        });
+                    const auto route = cost.routingDistances(src, layout);
+                    EXPECT_EQ(route.dist, route_ref.dist) << name;
+                    EXPECT_EQ(route.parent, route_ref.parent) << name;
+                }
+            }
+        }
+    }
 }
 
 TEST(Mapper, QubitOnlyUsesDistinctUnits)

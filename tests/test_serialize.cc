@@ -223,6 +223,47 @@ tempStorePath(const char *tag)
 // Round-trip
 // ------------------------------------------------------------------
 
+/** The bytewise CRC-32 the slicing-by-8 kernel must reproduce. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtAnyLengthAndAlignment)
+{
+    Rng rng(77);
+    std::vector<std::uint8_t> buf(1100);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.nextUint(256));
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t off = rng.nextUint(8);
+        const std::size_t len = trial < 40 ? static_cast<std::size_t>(trial)
+                                           : rng.nextUint(1090);
+        const std::uint32_t seed =
+            trial % 3 ? 0u : static_cast<std::uint32_t>(rng());
+        ASSERT_EQ(crc32(buf.data() + off, len, seed),
+                  referenceCrc32(buf.data() + off, len, seed))
+            << "offset " << off << " length " << len;
+    }
+    // Chaining through the seed equals one pass over the whole run.
+    const std::size_t cut = 301;
+    EXPECT_EQ(crc32(buf.data() + cut, 500, crc32(buf.data(), cut)),
+              crc32(buf.data(), cut + 500));
+}
+
 TEST(SerializeRoundTrip, EveryStrategyTopologyAndCircuit)
 {
     const GateLibrary lib;
