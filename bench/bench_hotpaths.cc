@@ -29,8 +29,8 @@
  *                warm pooled one performs zero *per lane*), that the
  *                Padé-13 family exponential matches the Taylor
  *                reference to 1e-12 and beats it by >= 1.15x, that
- *                cached (partial-invalidation) and uncached
- *                mapping+routing emit identical circuits, that
+ *                cached and direct-Dijkstra routing emit identical
+ *                circuits, that
  *                the exhaustive search, the eval sweep, and the GRAPE
  *                gradient produce bit-identical results at every lane
  *                count, and that CompilerService requests are
@@ -305,8 +305,6 @@ benchRouting(int reps)
 struct QaoaHhBenchResult
 {
     double cached_ms;
-    double uncached_ms;
-    bool identical;
     std::uint64_t gates;
     std::uint64_t cache_hits;
     std::uint64_t cache_misses;
@@ -318,9 +316,8 @@ struct QaoaHhBenchResult
  * hardware-native QAOA over the 65-unit heavy-hex lattice, with AWE
  * compression pairs committed so placement flips encoded bits (the
  * regime where whole-cache version keying used to thrash and partial
- * invalidation pays off). Cached runs share one CompileContext cache
- * between mapping and routing; uncached runs recompute every Dijkstra
- * field.
+ * invalidation pays off). Each run shares one CompileContext cache
+ * between mapping and routing.
  */
 QaoaHhBenchResult
 benchQaoaHeavyHex(int reps, int rounds)
@@ -338,16 +335,13 @@ benchQaoaHeavyHex(int reps, int rounds)
     mopts.pairs = pairs;
 
     std::uint64_t hits = 0, misses = 0, revalidations = 0;
-    auto run = [&](bool use_cache, bool collect_stats) {
-        CompilerConfig run_cfg = cfg;
-        run_cfg.useDistanceCache = use_cache;
-        CompileContext ctx(topo, lib, run_cfg);
+    auto run = [&](bool collect_stats) {
+        CompileContext ctx(topo, lib, cfg);
         Layout layout =
             mapCircuit(qaoa, im, ctx.cost(), mopts, ctx.cache());
         CompiledCircuit out(layout, "qaoa_hh");
         RouterOptions ropts;
         ropts.lookaheadWeight = 0.5;
-        ropts.useDistanceCache = use_cache;
         routeCircuit(qaoa, layout, ctx.cost(), out, ropts, ctx.cache());
         if (collect_stats) {
             hits = ctx.cacheStats().hits();
@@ -358,22 +352,14 @@ benchQaoaHeavyHex(int reps, int rounds)
     };
 
     const auto t0 = Clock::now();
-    CompiledCircuit cached_out;
+    CompiledCircuit out;
     for (int r = 0; r < reps; ++r)
-        cached_out = run(true, r == 0);
+        out = run(r == 0);
     const double cached_s = secondsSince(t0);
 
-    const auto t1 = Clock::now();
-    CompiledCircuit uncached_out;
-    for (int r = 0; r < reps; ++r)
-        uncached_out = run(false, false);
-    const double uncached_s = secondsSince(t1);
-
-    const bool identical =
-        bench::artifactDiff(cached_out, uncached_out).empty();
-    return {1e3 * cached_s / reps, 1e3 * uncached_s / reps, identical,
-            static_cast<std::uint64_t>(cached_out.numGates()), hits,
-            misses, revalidations};
+    return {1e3 * cached_s / reps,
+            static_cast<std::uint64_t>(out.numGates()), hits, misses,
+            revalidations};
 }
 
 struct ExhaustiveBenchResult
@@ -1240,8 +1226,6 @@ main(int argc, char **argv)
         gr.optimized_ms > 0.0 ? gr.naive_ms / gr.optimized_ms : 0.0;
     const double route_speedup =
         rt.cached_ms > 0.0 ? rt.uncached_ms / rt.cached_ms : 0.0;
-    const double qaoa_speedup =
-        qh.cached_ms > 0.0 ? qh.uncached_ms / qh.cached_ms : 0.0;
     const double exh_speedup_t4 =
         ex.t4_ms > 0.0 ? ex.serial_ms / ex.t4_ms : 0.0;
     const double sweep_speedup_t4 =
@@ -1288,13 +1272,10 @@ main(int argc, char **argv)
         "    \"route_gates\": %llu,\n"
         "    \"route_identical\": %s,\n"
         "    \"qaoa_hh_cached_ms\": %.4f,\n"
-        "    \"qaoa_hh_uncached_ms\": %.4f,\n"
-        "    \"qaoa_hh_speedup\": %.3f,\n"
         "    \"qaoa_hh_gates\": %llu,\n"
         "    \"qaoa_hh_cache_hits\": %llu,\n"
         "    \"qaoa_hh_cache_misses\": %llu,\n"
         "    \"qaoa_hh_cache_revalidations\": %llu,\n"
-        "    \"qaoa_hh_identical\": %s,\n"
         "    \"exhaustive_hh_serial_ms\": %.4f,\n"
         "    \"exhaustive_hh_t2_ms\": %.4f,\n"
         "    \"exhaustive_hh_t4_ms\": %.4f,\n"
@@ -1371,12 +1352,12 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(gr.warm_allocs), rt.cached_ms,
         rt.uncached_ms, route_speedup,
         static_cast<unsigned long long>(rt.gates),
-        rt.identical ? "true" : "false", qh.cached_ms, qh.uncached_ms,
-        qaoa_speedup, static_cast<unsigned long long>(qh.gates),
+        rt.identical ? "true" : "false", qh.cached_ms,
+        static_cast<unsigned long long>(qh.gates),
         static_cast<unsigned long long>(qh.cache_hits),
         static_cast<unsigned long long>(qh.cache_misses),
         static_cast<unsigned long long>(qh.cache_revalidations),
-        qh.identical ? "true" : "false", ex.serial_ms, ex.t2_ms,
+        ex.serial_ms, ex.t2_ms,
         ex.t4_ms, ex.t8_ms, exh_speedup_t4,
         static_cast<unsigned long long>(ex.pairs),
         ex.identical ? "true" : "false", sw.serial_ms, sw.t2_ms,
@@ -1435,10 +1416,8 @@ main(int argc, char **argv)
                "warm GRAPE gradient step performs zero heap "
                "allocations");
         expect(rt.identical,
-               "cached and uncached routing emit identical circuits");
-        expect(qh.identical,
-               "partial-invalidation cached and uncached QAOA/heavy-hex "
-               "mapping+routing emit identical circuits");
+               "cached and direct-Dijkstra routing emit identical "
+               "circuits");
         expect(ex.identical,
                "exhaustive search chooses bit-identical pairings at "
                "1/2/4/8 lanes");

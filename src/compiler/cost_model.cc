@@ -277,10 +277,8 @@ DistanceFieldCache::stamp(Entry &e, const Layout &layout)
     e.version = layout.costVersion();
     const int nu = layout.numUnits();
     e.snap.resize(static_cast<std::size_t>(nu));
-    for (UnitId u = 0; u < nu; ++u) {
-        e.snap[u] = (layout.unitPerturbNonce(u) << 8) |
-                    layout.unitSignature(u);
-    }
+    for (UnitId u = 0; u < nu; ++u)
+        e.snap[u] = layout.unitSignature(u);
 }
 
 bool
@@ -298,16 +296,12 @@ DistanceFieldCache::entryStillValid(const Entry &e, const Layout &layout,
     for (UnitId u = 0; u < nu; ++u) {
         if (same_layout && layout.unitEpoch(u) <= e.version)
             continue;
-        const std::uint32_t cur =
-            (layout.unitPerturbNonce(u) << 8) | layout.unitSignature(u);
-        // An external perturbation (nonce change) always invalidates.
-        if ((cur >> 8) != (e.snap[u] >> 8))
-            return false;
+        const std::uint8_t cur = layout.unitSignature(u);
         if (rel == Relevance::Occupancy) {
-            if ((cur & 0xff) != (e.snap[u] & 0xff))
+            if (cur != e.snap[u])
                 return false;
         } else {
-            if (((cur & 0xff) == 3) != ((e.snap[u] & 0xff) == 3))
+            if ((cur == 3) != (e.snap[u] == 3))
                 return false;
         }
     }
@@ -367,14 +361,6 @@ DistanceFieldCache::unit(UnitId source, const Layout &layout)
                   [this](UnitId u, const Layout &l) {
                       return cost_->unitDistances(u, l);
                   });
-}
-
-void
-DistanceFieldCache::clear()
-{
-    routing_.clear();
-    mapping_.clear();
-    unit_.clear();
 }
 
 } // namespace qompress

@@ -167,8 +167,11 @@ class CostModel
  *
  * A GateLibrary or calibration change (sensitivity sweeps) needs a
  * new CostModel, and so a new cache: the model's price tables
- * snapshot both at construction, which Layout::recordMutation()
- * cannot refresh.
+ * snapshot both at construction, so a cached field is a function of
+ * the unit signatures alone. Soundness -- every lookup equals a fresh
+ * CostModel::*Distances, so caching never changes what a compile
+ * emits -- is enforced by HotpathCache.SeededMutationsMatchFreshFields
+ * and ContextReuse.LongLivedContextMatchesFreshContexts.
  */
 class DistanceFieldCache
 {
@@ -176,7 +179,7 @@ class DistanceFieldCache
     explicit DistanceFieldCache(const CostModel &cost) : cost_(&cost) {}
 
     /** Cached CostModel::routingDistances. The reference stays valid
-     *  until the entry for @p source is recomputed or clear(). */
+     *  until the entry for @p source is recomputed. */
     const ShortestPaths &routing(SlotId source, const Layout &layout);
 
     /** Cached CostModel::mappingDistances. */
@@ -184,8 +187,6 @@ class DistanceFieldCache
 
     /** Cached CostModel::unitDistances (FQ's SWAP4 routing metric). */
     const ShortestPaths &unit(UnitId source, const Layout &layout);
-
-    void clear();
 
     /** @name Effectiveness counters (reported by bench_hotpaths and
      *  asserted by the invalidation stress tests). A lookup is exactly
@@ -209,10 +210,8 @@ class DistanceFieldCache
     {
         std::uint64_t layoutId = 0;
         std::uint64_t version = 0;
-        /** Per-unit (perturb-nonce << 8) | occupancy-signature at the
-         *  stamp; the nonce part makes recordMutation() perturbations
-         *  (invisible to occupancy bits) fail revalidation. */
-        std::vector<std::uint32_t> snap;
+        /** Per-unit occupancy signature at the stamp. */
+        std::vector<std::uint8_t> snap;
         ShortestPaths field;
     };
 

@@ -35,6 +35,9 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
     const ExpandedGraph &xg = cost.expanded();
     const Topology &topo = xg.topology();
     Layout layout(n, topo.numUnits());
+    DistanceFieldCache local_cache(cost);
+    if (!cache)
+        cache = &local_cache;
 
     const auto partner = partnerTable(n, opts.pairs);
     // is_second[q]: q is the position-1 element of its pair.
@@ -141,30 +144,22 @@ mapCircuit(const Circuit &circuit, const InteractionModel &im,
         // interaction partners (smaller is better).
         SlotId best_s = cands.front();
         if (cands.size() > 1) {
-            // One distance field per placed partner of best_q. Cached
-            // fields are referenced in place (unordered_map elements
-            // are address-stable and no mutation happens between the
-            // fetches below); uncached ones live in `holders`.
+            // One distance field per placed partner of best_q, cached
+            // fields referenced in place (unordered_map elements are
+            // address-stable and no mutation happens between the
+            // fetches below).
             std::vector<std::pair<double, const ShortestPaths *>> fields;
-            std::vector<ShortestPaths> holders;
-            if (!cache)
-                holders.reserve(im.graph().degree(best_q) + 1);
-            auto fetch = [&](SlotId source) -> const ShortestPaths * {
-                if (cache)
-                    return &cache->mapping(source, layout);
-                holders.push_back(cost.mappingDistances(source, layout));
-                return &holders.back();
-            };
             for (const auto &e : im.graph().neighbors(best_q)) {
                 if (!layout.isMapped(e.to))
                     continue;
-                fields.emplace_back(e.weight,
-                                    fetch(layout.slotOf(e.to)));
+                fields.emplace_back(
+                    e.weight, &cache->mapping(layout.slotOf(e.to), layout));
             }
             if (fields.empty()) {
                 // Untied qubit: prefer staying near the center.
                 fields.emplace_back(
-                    1.0, fetch(makeSlot(xg.centerUnit(), 0)));
+                    1.0,
+                    &cache->mapping(makeSlot(xg.centerUnit(), 0), layout));
             }
             double best_score = ShortestPaths::kInf;
             for (SlotId s : cands) {

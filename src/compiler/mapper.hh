@@ -55,12 +55,14 @@ struct MapperOptions
  * after position 0 of the same unit is taken; the second element of a
  * committed pair is forced into its partner's unit.
  *
- * @param cache optional shared distance-field cache. Mapping edge
- *        costs depend only on encoded bits, so the placement loop's
- *        fields stay valid across every placement that does not
- *        complete a pair -- with partial invalidation the cache pays
- *        off here even though the layout mutates between queries.
- *        Placement is identical with and without it.
+ * @param cache optional shared distance-field cache (a call-local one
+ *        when null). Mapping edge costs depend only on encoded bits,
+ *        so the placement loop's fields stay valid across every
+ *        placement that does not complete a pair -- with partial
+ *        invalidation the cache pays off here even though the layout
+ *        mutates between queries. Placement never depends on which
+ *        cache serves it (HotpathCache.SeededMutationsMatchFreshFields
+ *        and ContextReuse.LongLivedContextMatchesFreshContexts).
  * @throws FatalError when the device cannot hold the circuit.
  */
 Layout mapCircuit(const Circuit &circuit, const InteractionModel &im,

@@ -11,7 +11,7 @@ CompileContext::CompileContext(const Topology &topo, const GateLibrary &lib,
                                const CompilerConfig &cfg)
     : xg_(topo), cal_(cfg.calibration),
       cost_(xg_, lib, cfg.throughQuquartPenalty, cal_.get()),
-      cache_(cost_), use_cache_(cfg.useDistanceCache)
+      cache_(cost_)
 {
 }
 
@@ -77,7 +77,7 @@ compileWithPairs(const Circuit &circuit, const Topology &topo,
         ctx = &*local;
     }
     const CostModel &cost = ctx->cost();
-    DistanceFieldCache *cache = ctx->cache(); // null when caching is off
+    DistanceFieldCache *cache = ctx->cache();
 
     MapperOptions mopts;
     mopts.allowDynamicSlot1 = allow_dynamic_slot1;
@@ -88,10 +88,6 @@ compileWithPairs(const Circuit &circuit, const Topology &topo,
 
     RouterOptions ropts;
     ropts.lookaheadWeight = cfg.lookaheadWeight;
-    // The context's construction cfg is the single authority on cache
-    // enablement; keep the router flag in lockstep with it so mapping
-    // and routing can never end up half-cached.
-    ropts.useDistanceCache = cache != nullptr;
     routeCircuit(native, layout, cost, result.compiled, ropts, cache);
     finishCompile(result, topo, lib, cfg);
     return result;

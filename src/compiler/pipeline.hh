@@ -33,10 +33,6 @@ struct CompilerConfig
     /** Router lookahead weight (0 = off); see RouterOptions. */
     double lookaheadWeight = 0.0;
 
-    /** Reuse routing distance fields across rounds; see
-     *  RouterOptions::useDistanceCache. */
-    bool useDistanceCache = true;
-
     /** Run the structural validator on every compile (cheap; the
      *  exhaustive strategy turns it off in its inner loop). */
     bool validate = true;
@@ -91,7 +87,9 @@ struct CompileResult
  * concurrently running compiles. Parallel callers (the exhaustive
  * strategy's fan-out) build one context per lane; contexts over the
  * same topo/lib/cfg are interchangeable result-wise because caching
- * never changes what a compile emits, only how fast it prices paths.
+ * never changes what a compile emits, only how fast it prices paths
+ * (enforced by HotpathCache.SeededMutationsMatchFreshFields and
+ * ContextReuse.LongLivedContextMatchesFreshContexts).
  */
 class CompileContext
 {
@@ -105,14 +103,10 @@ class CompileContext
     const ExpandedGraph &expanded() const { return xg_; }
     const CostModel &cost() const { return cost_; }
 
-    /** The shared cache, or nullptr when cfg.useDistanceCache was off
-     *  (callers then fall back to direct Dijkstra). */
-    DistanceFieldCache *cache()
-    {
-        return use_cache_ ? &cache_ : nullptr;
-    }
+    /** The shared cache (never null). */
+    DistanceFieldCache *cache() { return &cache_; }
 
-    /** Counter access regardless of enablement (for benches/tests). */
+    /** Read-only counter access (for benches/tests). */
     const DistanceFieldCache &cacheStats() const { return cache_; }
 
   private:
@@ -122,7 +116,6 @@ class CompileContext
     std::shared_ptr<const DeviceCalibration> cal_;
     CostModel cost_;
     DistanceFieldCache cache_;
-    bool use_cache_;
 };
 
 /**
@@ -131,8 +124,7 @@ class CompileContext
  * @param allow_dynamic_slot1 let the mapper form additional pairs on
  *        its own (the EQM behaviour).
  * @param ctx optional shared context (must have been built over the
- *        same topo/lib/cfg pricing; its construction cfg is the single
- *        authority on whether caching is enabled). The exhaustive
+ *        same topo/lib/cfg pricing). The exhaustive
  *        strategy passes one across its hundreds of candidate compiles
  *        so distance fields are reused between them. When null a
  *        compile-local context is used.

@@ -29,8 +29,9 @@ struct RouterOptions
      * Reuse Dijkstra distance fields across routing rounds via
      * DistanceFieldCache (routing SWAPs never perturb edge costs, so
      * fields stay valid for the whole pass). Off recomputes every
-     * field from scratch; routed output is identical either way --
-     * the differential tests assert it.
+     * field by direct Dijkstra: the reference that HotpathRouter.*
+     * and bench_hotpaths' route_bv20 section compare the cached
+     * router against. Compiles always leave it on.
      */
     bool useDistanceCache = true;
 };
@@ -49,11 +50,11 @@ struct RouterOptions
  * foreign ququarts penalized.
  *
  * @param cache optional shared distance-field cache (normally the
- *        CompileContext one, already warm from mapping). When null and
- *        opts.useDistanceCache is set, a pass-local cache is used as
- *        before; when opts.useDistanceCache is off every field is
- *        recomputed directly. Routed output is identical in all three
- *        modes.
+ *        CompileContext one, already warm from mapping); a pass-local
+ *        one when null. Unused when the options turn caching off and
+ *        every field is recomputed directly. Routed output never
+ *        depends on which of these serves it (HotpathRouter.*,
+ *        HotpathCache.SeededMutationsMatchFreshFields).
  */
 void routeCircuit(const Circuit &native, Layout &layout,
                   const CostModel &cost, CompiledCircuit &out,

@@ -80,7 +80,7 @@ runSweep(const SweepSpec &spec)
     // config pricing reuses warmed distance fields, whichever lane
     // compiles it. Handles come back in request order, so records are
     // bit-identical at every lane count (and, by the cache invariant,
-    // at every cache configuration).
+    // whichever pooled context serves a cell).
     std::vector<CompileRequest> reqs;
     struct CellRef
     {

@@ -72,7 +72,8 @@ configFingerprint(const CompilerConfig &cfg)
     f.mixI32(cfg.chargeInitialEnc ? 1 : 0);
     f.mixDouble(cfg.throughQuquartPenalty);
     f.mixDouble(cfg.lookaheadWeight);
-    f.mixI32(cfg.useDistanceCache ? 1 : 0);
+    // validate changes no output, but an artifact compiled without the
+    // check must not answer a request that asked for it.
     f.mixI32(cfg.validate ? 1 : 0);
     // The calibration is priced into every compile, so its content
     // fingerprint is part of the config identity: installing a new

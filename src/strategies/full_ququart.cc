@@ -62,14 +62,13 @@ namespace {
 class FqRouter
 {
   public:
-    /** @param cache optional shared unit-level distance cache; SWAP4
+    /** @param cache the shared unit-level distance cache; SWAP4
      *  chains between two encoded (or two equally occupied) units
      *  leave every unit signature intact, so successive routing
      *  rounds revalidate instead of re-running Dijkstra. */
-    FqRouter(const Topology &topo, const CostModel &cost, Layout &layout,
-             CompiledCircuit &out, DistanceFieldCache *cache)
-        : topo_(topo), cost_(cost), layout_(layout), out_(out),
-          cache_(cache)
+    FqRouter(const Topology &topo, Layout &layout, CompiledCircuit &out,
+             DistanceFieldCache &cache)
+        : topo_(topo), layout_(layout), out_(out), cache_(cache)
     {
     }
 
@@ -101,10 +100,7 @@ class FqRouter
             QPANIC_IF(++rounds > 2 * topo_.numUnits(),
                       "FQ unit routing failed to converge");
             // Cheapest SWAP4 path from ua to a neighbour of ub.
-            ShortestPaths holder;
-            const ShortestPaths &field = cache_
-                ? cache_->unit(ua, layout_)
-                : (holder = cost_.unitDistances(ua, layout_));
+            const ShortestPaths &field = cache_.unit(ua, layout_);
             double best = ShortestPaths::kInf;
             UnitId target = kInvalid;
             for (const auto &e : topo_.graph().neighbors(ub)) {
@@ -223,10 +219,9 @@ class FqRouter
 
   private:
     const Topology &topo_;
-    const CostModel &cost_;
     Layout &layout_;
     CompiledCircuit &out_;
-    DistanceFieldCache *cache_;
+    DistanceFieldCache &cache_;
 };
 
 } // namespace
@@ -360,8 +355,7 @@ FullQuquartStrategy::compile(const Circuit &circuit, const Topology &topo,
     CompileResult result = beginCompile(layout, native.name(), cfg);
 
     // --- Qudit-level routing with encode/decode ---------------------
-    FqRouter router(topo, ctx.cost(), layout, result.compiled,
-                    ctx.cache());
+    FqRouter router(topo, layout, result.compiled, *ctx.cache());
     const auto &gates = native.gates();
     const auto layers = native.asapLayers();
     std::vector<int> idx_order(gates.size());

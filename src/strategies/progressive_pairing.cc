@@ -19,7 +19,7 @@ ProgressivePairingStrategy::choosePairs(const Circuit &native,
     (void)cfg;
     const InteractionModel im(native);
     const CostModel &cost = ctx.cost();
-    DistanceFieldCache *cache = ctx.cache();
+    DistanceFieldCache &cache = *ctx.cache();
     const int n = native.numQubits();
 
     std::vector<Compression> pairs;
@@ -34,24 +34,14 @@ ProgressivePairingStrategy::choosePairs(const Circuit &native,
         // so signature revalidation turns repeat fields into hits.
         MapperOptions mopts;
         mopts.pairs = pairs;
-        Layout layout = mapCircuit(native, im, cost, mopts, cache);
+        Layout layout = mapCircuit(native, im, cost, mopts, &cache);
 
-        // One swap-cost distance field per qubit's current slot.
-        // Cached fields are referenced in place (the layout is not
-        // mutated while they are alive); uncached ones are copied.
+        // One swap-cost distance field per qubit's current slot,
+        // referenced in place (the layout is not mutated while they
+        // are alive).
         std::vector<const ShortestPaths *> field(n);
-        std::vector<ShortestPaths> holders;
-        if (!cache)
-            holders.resize(static_cast<std::size_t>(n));
-        for (QubitId q = 0; q < n; ++q) {
-            if (cache) {
-                field[q] = &cache->mapping(layout.slotOf(q), layout);
-            } else {
-                holders[q] = cost.mappingDistances(layout.slotOf(q),
-                                                   layout);
-                field[q] = &holders[q];
-            }
-        }
+        for (QubitId q = 0; q < n; ++q)
+            field[q] = &cache.mapping(layout.slotOf(q), layout);
 
         // Estimated -log-success of all interactions of q if q sits at
         // slot s (distances measured from the partners' sides).

@@ -3,8 +3,9 @@
  * Differential tests for the hot-path overhaul: optimized statevector
  * kernels vs. the retained naive reference, allocation-free GRAPE
  * gradients vs. the naive implementation, the shared-series Van Loan
- * exponential vs. the augmented-matrix construction, and cached vs.
- * uncached routing distance fields.
+ * exponential vs. the augmented-matrix construction, cached distance
+ * fields vs. fresh CostModel computations, and cached routing vs. the
+ * direct-Dijkstra router.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,14 @@
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
 #include "circuits/qaoa.hh"
+#include "arch/device.hh"
 #include "common/rng.hh"
 #include "compiler/pipeline.hh"
 #include "ir/passes.hh"
 #include "pulse/grape.hh"
 #include "pulse/targets.hh"
 #include "sim/statevector.hh"
+#include "strategies/awe.hh"
 
 namespace qompress {
 namespace {
@@ -417,20 +420,6 @@ TEST(HotpathCache, PartialInvalidationRecomputesExactlyOnDependedChanges)
     EXPECT_EQ(cache.misses(), 4u);
     cache.routing(src, layout);
     EXPECT_EQ(cache.misses(), 5u);
-
-    // The recordMutation hook models an external cost perturbation
-    // (e.g. a calibration change) that occupancy signatures cannot
-    // see: the perturbation nonce makes both field families recompute
-    // even though no qubit moved.
-    layout.recordMutation(makeSlot(4, 0));
-    cache.mapping(src, layout);
-    cache.routing(src, layout);
-    EXPECT_EQ(cache.misses(), 7u);
-    // ...and once restamped, lookups are hits again.
-    const auto hits_after = cache.hits();
-    cache.mapping(src, layout);
-    EXPECT_EQ(cache.hits(), hits_after + 1);
-    EXPECT_EQ(cache.misses(), 7u);
 }
 
 TEST(HotpathCache, SurvivesDistinctLayoutInstances)
@@ -473,17 +462,130 @@ TEST(HotpathCache, SurvivesDistinctLayoutInstances)
     EXPECT_EQ(direct.dist, recomputed.dist);
 }
 
-/** Route one circuit twice, cache on/off, and demand identical output. */
+/**
+ * Seeded random mutations against one long-lived cache: place, remove
+ * and swapSlots steps (occupied and empty, across and within units)
+ * on several independently built Layouts and on diverging copies of
+ * them. After every step each field family, looked up from a small
+ * set of sources so entries are revisited, must equal a fresh
+ * CostModel computation, dist and parent bit for bit. Fresh layouts
+ * share a costVersion by construction and copies share an epoch
+ * history, so a stamp check that trusts the version alone, or epoch
+ * skipping across instances, serves a stale field here.
+ */
+TEST(HotpathCache, SeededMutationsMatchFreshFields)
+{
+    const GateLibrary lib;
+    Rng rng(4242);
+    for (const Topology &topo :
+         {Topology::ring(8), Topology::grid(9), Topology::heavyHex65()}) {
+        const int units = topo.numUnits();
+        const int slots = 2 * units;
+        auto scaled = std::make_shared<DeviceCalibration>(
+            DeviceCalibration::uniform(topo.name(), units, lib.t1Qubit(),
+                                       lib.t1Ququart(), 0.01));
+        for (UnitId u = 0; u < units; ++u) {
+            scaled->t1QubitNs[u] = rng.nextDouble(60e3, 250e3);
+            scaled->t1QuquartNs[u] = rng.nextDouble(20e3, 80e3);
+        }
+        for (const auto &e : topo.graph().edges()) {
+            if (rng.nextBool(0.7)) {
+                scaled->setEdge(e.u, e.v, rng.nextDouble(0.9, 1.0),
+                                rng.nextDouble(0.7, 1.5));
+            }
+        }
+        const DeviceCalibration *cals[] = {nullptr, scaled.get()};
+        for (const DeviceCalibration *cal : cals) {
+            const std::string ctx =
+                topo.name() + (cal ? " calibrated" : " uncalibrated");
+            const ExpandedGraph xg(topo);
+            const CostModel cost(xg, lib, 1.25, cal);
+            DistanceFieldCache cache(cost);
+
+            // Every fresh layout places all `qubits` qubits, so fresh
+            // layouts start at the same costVersion.
+            const int qubits = std::max(2, units);
+            auto fresh = [&] {
+                std::vector<SlotId> order(slots);
+                for (SlotId s = 0; s < slots; ++s)
+                    order[s] = s;
+                rng.shuffle(order);
+                Layout l(qubits, units);
+                for (QubitId q = 0; q < qubits; ++q)
+                    l.place(q, order[q]);
+                return l;
+            };
+            std::vector<Layout> pool;
+            for (int i = 0; i < 3; ++i)
+                pool.push_back(fresh());
+
+            for (int step = 0; step < 300; ++step) {
+                Layout &l = pool[rng.nextUint(pool.size())];
+                const int op = rng.nextInt(0, 5);
+                if (op == 0) {
+                    const QubitId q = rng.nextInt(0, qubits - 1);
+                    const SlotId s = rng.nextInt(0, slots - 1);
+                    if (l.isMapped(q))
+                        l.remove(q);
+                    else if (!l.occupied(s))
+                        l.place(q, s);
+                } else if (op == 1) {
+                    const SlotId a = rng.nextInt(0, slots - 1);
+                    const SlotId b = rng.nextBool()
+                        ? rng.nextInt(0, slots - 1)
+                        : makeSlot(slotUnit(a), 1 - slotPos(a));
+                    l.swapSlots(a, b);
+                } else if (op == 2) {
+                    // A diverging copy (fresh instance id, inherited
+                    // version and epochs), or a fresh layout.
+                    Layout copy = rng.nextBool() ? Layout(l) : fresh();
+                    if (pool.size() < 5)
+                        pool.push_back(std::move(copy));
+                    else
+                        pool[rng.nextUint(pool.size())] = copy;
+                }
+                // Lookups may follow any step, including none.
+                for (Layout &probe : pool) {
+                    if (!rng.nextBool(0.6))
+                        continue;
+                    const SlotId src = rng.nextInt(0, 3);
+                    const UnitId usrc = rng.nextInt(0, 1);
+                    const auto &r = cache.routing(src, probe);
+                    const auto r_ref = cost.routingDistances(src, probe);
+                    ASSERT_EQ(r.dist, r_ref.dist) << ctx << " step " << step;
+                    ASSERT_EQ(r.parent, r_ref.parent) << ctx;
+                    const auto &m = cache.mapping(src, probe);
+                    const auto m_ref = cost.mappingDistances(src, probe);
+                    ASSERT_EQ(m.dist, m_ref.dist) << ctx << " step " << step;
+                    ASSERT_EQ(m.parent, m_ref.parent) << ctx;
+                    const auto &u = cache.unit(usrc, probe);
+                    const auto u_ref = cost.unitDistances(usrc, probe);
+                    ASSERT_EQ(u.dist, u_ref.dist) << ctx << " step " << step;
+                    ASSERT_EQ(u.parent, u_ref.parent) << ctx;
+                }
+            }
+            // All three lookup outcomes were exercised.
+            EXPECT_GT(cache.hits() - cache.revalidations(), 0u) << ctx;
+            EXPECT_GT(cache.revalidations(), 0u) << ctx;
+            EXPECT_GT(cache.misses(), 0u) << ctx;
+        }
+    }
+}
+
+/** Route one circuit with the cache on and off (the direct-Dijkstra
+ *  reference) and demand bit-identical output. */
 void
 expectSameRouting(const Circuit &circuit, const Topology &topo,
-                  double lookahead)
+                  double lookahead, std::vector<Compression> pairs = {})
 {
     const Circuit native = decomposeToNativeGates(circuit);
     const GateLibrary lib;
     const ExpandedGraph xg(topo);
     const CostModel cost(xg, lib);
     const InteractionModel im(native);
-    const Layout initial = mapCircuit(native, im, cost, {});
+    MapperOptions mopts;
+    mopts.pairs = std::move(pairs);
+    const Layout initial = mapCircuit(native, im, cost, mopts);
 
     auto route = [&](bool use_cache) {
         RouterOptions ropts;
@@ -494,22 +596,8 @@ expectSameRouting(const Circuit &circuit, const Topology &topo,
         routeCircuit(native, layout, cost, out, ropts);
         return out;
     };
-    const CompiledCircuit with_cache = route(true);
-    const CompiledCircuit without = route(false);
-
-    ASSERT_EQ(with_cache.numGates(), without.numGates());
-    for (int i = 0; i < with_cache.numGates(); ++i) {
-        const PhysGate &x = with_cache.gates()[i];
-        const PhysGate &y = without.gates()[i];
-        EXPECT_EQ(x.cls, y.cls) << "gate " << i;
-        EXPECT_EQ(x.slots, y.slots) << "gate " << i;
-        EXPECT_EQ(x.logical, y.logical) << "gate " << i;
-        EXPECT_EQ(x.isRouting, y.isRouting) << "gate " << i;
-    }
-    for (QubitId q = 0; q < initial.numQubits(); ++q) {
-        EXPECT_EQ(with_cache.finalLayout().slotOf(q),
-                  without.finalLayout().slotOf(q));
-    }
+    EXPECT_EQ(bench::artifactDiff(route(true), route(false)), "")
+        << circuit.name() << " / " << topo.name();
 }
 
 TEST(HotpathRouter, CachedRoutingIdenticalOnRing)
@@ -524,6 +612,18 @@ TEST(HotpathRouter, CachedRoutingIdenticalOnGrid)
     expectSameRouting(bernsteinVazirani(9), Topology::grid(9), 0.0);
     expectSameRouting(bernsteinVazirani(9), Topology::grid(9), 0.5);
     expectSameRouting(qaoaFromGraph(randomGraph(9, 0.4)), Topology::grid(9), 0.5);
+}
+
+TEST(HotpathRouter, CachedRoutingIdenticalOnHeavyHexWithAwePairs)
+{
+    // Committed AWE pairs make placement flip encoded bits, the regime
+    // where partial invalidation does the most work.
+    const Circuit qaoa = decomposeToNativeGates(qaoaHeavyHex(40, 1));
+    const Topology topo = Topology::heavyHex65();
+    const auto pairs =
+        AweStrategy().choosePairs(qaoa, topo, GateLibrary{}, {});
+    ASSERT_FALSE(pairs.empty());
+    expectSameRouting(qaoa, topo, 0.5, pairs);
 }
 
 } // namespace

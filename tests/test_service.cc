@@ -209,10 +209,10 @@ TEST(ServiceContextPool, ReusesWarmContextsAcrossRequests)
     EXPECT_EQ(s.pooledContexts, 1u);
 
     // A different pricing configuration gets its own context.
-    CompilerConfig nocache;
-    nocache.useDistanceCache = false;
+    CompilerConfig penalized;
+    penalized.throughQuquartPenalty = 2.0;
     service.compileSync(CompileRequest::forCircuit(
-        bernsteinVazirani(8), topo, "eqm", nocache, lib));
+        bernsteinVazirani(8), topo, "eqm", penalized, lib));
     EXPECT_EQ(service.stats().contextsCreated, 2u);
 
     // clearCache drops pooled contexts too.

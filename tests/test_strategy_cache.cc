@@ -1,15 +1,17 @@
 /**
  * @file
- * Randomized differential harness for the partial-invalidation
- * distance-field cache: every compression strategy, on every topology
- * class (ring, grid, heavy-hex), over seeded random/QAOA circuits,
- * must produce bit-identical compilations with the cache on and off.
- * This is the safety net for threading one mutation-aware cache
- * through mapping, routing, and the strategies themselves.
+ * Context reuse never changes what a compile emits: every strategy ×
+ * circuit compile run through one long-lived CompileContext (whose
+ * distance-field cache carries the fields of every earlier compile)
+ * must be bit-identical to the same compile on a fresh context. The
+ * sequence runs forward and then reversed on the same context, so each
+ * compile meets two different cache histories. The field-level
+ * counterpart is HotpathCache.SeededMutationsMatchFreshFields.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "circuits/bv.hh"
 #include "circuits/graphs.hh"
 #include "circuits/qaoa.hh"
-#include "ir/passes.hh"
 #include "strategies/strategy.hh"
 
 namespace qompress {
@@ -25,86 +26,94 @@ namespace {
 
 const GateLibrary kLib;
 
-/** Strategies exercised on every topology/circuit combination. */
+/** Strategies cheap enough to run on every topology; the exhaustive
+ *  strategies recompile O(n^2) candidates per committed pair and run
+ *  on the small cases only. */
 const std::vector<std::string> kStrategies = {
-    "qubit_only", "eqm", "rb", "awe", "pp", "fq",
+    "qubit_only", "fq", "eqm", "rb", "awe", "pp", "portfolio",
 };
 
-/** Compile with the shared cache on and off and demand identity. */
 void
-expectCacheInvariant(const std::string &strategy, const Circuit &circuit,
-                     const Topology &topo, double lookahead = 0.5)
+expectReuseInvariant(const Topology &topo,
+                     const std::vector<std::string> &strategies,
+                     const std::vector<Circuit> &circuits,
+                     const CompilerConfig &cfg)
 {
-    const std::string ctx =
-        strategy + " / " + circuit.name() + " / " + topo.name();
+    struct Case
+    {
+        const std::string *strategy;
+        const Circuit *circuit;
+    };
+    std::vector<Case> cases;
+    for (const auto &circuit : circuits) {
+        for (const auto &name : strategies)
+            cases.push_back({&name, &circuit});
+    }
+    std::vector<CompileResult> fresh;
+    for (const Case &c : cases) {
+        fresh.push_back(
+            makeStrategy(*c.strategy)->compile(*c.circuit, topo, kLib, cfg));
+    }
+
+    CompileContext shared(topo, kLib, cfg);
+    std::vector<std::size_t> order(cases.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    for (const bool reversed : {false, true}) {
+        if (reversed)
+            std::reverse(order.begin(), order.end());
+        for (std::size_t i : order) {
+            const Case &c = cases[i];
+            const CompileResult reused = makeStrategy(*c.strategy)->compile(
+                *c.circuit, topo, kLib, cfg, &shared);
+            EXPECT_EQ(bench::artifactDiff(reused, fresh[i]), "")
+                << *c.strategy << " / " << c.circuit->name() << " / "
+                << topo.name() << (reversed ? " (reversed)" : "");
+        }
+    }
+    // The shared context really was reused: later compiles drew on
+    // fields earlier ones left behind.
+    EXPECT_GT(shared.cacheStats().revalidations(), 0u) << topo.name();
+}
+
+CompilerConfig
+lookahead(double weight)
+{
     CompilerConfig cfg;
-    cfg.lookaheadWeight = lookahead;
-
-    cfg.useDistanceCache = true;
-    const CompileResult cached =
-        makeStrategy(strategy)->compile(circuit, topo, kLib, cfg);
-
-    cfg.useDistanceCache = false;
-    const CompileResult uncached =
-        makeStrategy(strategy)->compile(circuit, topo, kLib, cfg);
-
-    EXPECT_EQ(bench::artifactDiff(cached, uncached), "") << ctx;
+    cfg.lookaheadWeight = weight;
+    cfg.threads = 1;
+    return cfg;
 }
 
-TEST(StrategyCache, AllStrategiesIdenticalOnRing)
+TEST(ContextReuse, LongLivedContextMatchesFreshContexts)
 {
-    const Topology topo = Topology::ring(12);
-    for (const auto &name : kStrategies) {
-        for (std::uint64_t seed : {3u, 17u}) {
-            expectCacheInvariant(
-                name, qaoaFromGraph(randomGraph(8, 0.4, seed)), topo);
-        }
-        expectCacheInvariant(name, bernsteinVazirani(8), topo);
-    }
+    expectReuseInvariant(Topology::ring(12), kStrategies,
+                         {qaoaFromGraph(randomGraph(8, 0.4, 3)),
+                          qaoaFromGraph(randomGraph(10, 0.4, 17)),
+                          bernsteinVazirani(8)},
+                         lookahead(0.5));
+    expectReuseInvariant(Topology::grid(12), kStrategies,
+                         {qaoaFromGraph(randomGraph(10, 0.4, 5)),
+                          qaoaFromGraph(randomGraph(12, 0.4, 23)),
+                          bernsteinVazirani(10)},
+                         lookahead(0.5));
+    expectReuseInvariant(Topology::heavyHex65(), kStrategies,
+                         {qaoaFromGraph(randomGraph(16, 0.3, 7)),
+                          qaoaHeavyHex(16)},
+                         lookahead(0.5));
 }
 
-TEST(StrategyCache, AllStrategiesIdenticalOnGrid)
+TEST(ContextReuse, LookaheadOffAndExhaustive)
 {
-    const Topology topo = Topology::grid(12);
-    for (const auto &name : kStrategies) {
-        for (std::uint64_t seed : {5u, 23u}) {
-            expectCacheInvariant(
-                name, qaoaFromGraph(randomGraph(10, 0.4, seed)), topo);
-        }
-        expectCacheInvariant(name, bernsteinVazirani(10), topo);
-    }
-}
-
-TEST(StrategyCache, AllStrategiesIdenticalOnHeavyHex)
-{
-    const Topology topo = Topology::heavyHex65();
-    for (const auto &name : kStrategies) {
-        expectCacheInvariant(
-            name, qaoaFromGraph(randomGraph(16, 0.3, 7)), topo);
-        // The deep hardware-native workload itself.
-        expectCacheInvariant(name, qaoaHeavyHex(16), topo);
-    }
-}
-
-TEST(StrategyCache, ExhaustiveIdenticalOnSmallCircuits)
-{
-    // ec recompiles n^2 candidates per committed pair; keep it small
-    // but cover both the shared-context candidate loop and the final
-    // compile.
-    expectCacheInvariant("ec", bernsteinVazirani(6), Topology::grid(6));
-    expectCacheInvariant(
-        "ec", qaoaFromGraph(randomGraph(6, 0.5, 13)), Topology::grid(6));
-}
-
-TEST(StrategyCache, LookaheadOffAlsoIdentical)
-{
-    // lookahead 0 takes a different field-fetch path in the router.
-    const Topology topo = Topology::grid(9);
-    for (const auto &name : kStrategies) {
-        expectCacheInvariant(
-            name, qaoaFromGraph(randomGraph(9, 0.4, 41)), topo,
-            /*lookahead=*/0.0);
-    }
+    // Lookahead 0 takes a different field-fetch path in the router.
+    expectReuseInvariant(Topology::grid(9), kStrategies,
+                         {qaoaFromGraph(randomGraph(9, 0.4, 41)),
+                          bernsteinVazirani(9)},
+                         lookahead(0.0));
+    expectReuseInvariant(Topology::grid(6), {"ec", "ec_unordered"},
+                         {bernsteinVazirani(6),
+                          qaoaFromGraph(randomGraph(6, 0.5, 13))},
+                         lookahead(0.5));
 }
 
 } // namespace

@@ -3,6 +3,8 @@
 
     python3 tools/qompressd_smoke.py build/qompressd calibration
     python3 tools/qompressd_smoke.py build/qompressd warm-restart [--store=PATH]
+    python3 tools/qompressd_smoke.py build/qompressd loadgen \
+        --loadgen=build/bench_loadgen [--out=FILE]
 
 Each check boots the server on an ephemeral port (--port=0, the port
 read off its "listening on" line), talks to it over HTTP, stops it
@@ -20,6 +22,12 @@ store; boot 2 must answer from the disk tier (diskHits > 0) with zero
 misses, i.e. zero full compiles. --store=PATH serves (and keeps) that
 store file, as CI does to carry it across runs; without it the store
 lives in a temporary directory.
+
+loadgen: runs `bench_loadgen --quick --check` against the booted server
+over real sockets (the full traffic mix; --check asserts zero 5xx, the
+counter partition, template-tier hits from sweep traffic and malformed
+QASM answered with 400s) and requires it to exit 0. --out=FILE keeps
+its JSON, which CI gates against BENCH_loadgen.json.
 """
 
 import argparse
@@ -51,12 +59,14 @@ def qompressd(binary, *flags):
         banner = server.stdout.readline()  # flushed once listening
         port = re.search(r"listening on [^:\s]+:(\d+)", banner)
         assert port, f"no 'listening on' line: {banner!r}"
-        base = f"http://127.0.0.1:{port.group(1)}"
+        address = f"127.0.0.1:{port.group(1)}"
 
         def get(path, data=None):
-            with urllib.request.urlopen(base + path, data, timeout=60) as r:
+            with urllib.request.urlopen(f"http://{address}{path}", data,
+                                        timeout=60) as r:
                 return json.load(r)
 
+        get.address = address
         yield get
     finally:
         server.terminate()
@@ -115,15 +125,32 @@ def warm_restart(binary, store):
     assert second["misses"] == 0, second
 
 
+def loadgen(binary, loadgen_binary, out):
+    with qompressd(binary, "--queue=128") as get:
+        cmd = [loadgen_binary, "--quick", "--check",
+               f"--connect={get.address}"]
+        if out:
+            cmd.append(f"--out={out}")
+        status = subprocess.run(cmd).returncode
+    assert status == 0, f"bench_loadgen exited {status}"
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("binary", help="path to the qompressd binary")
-    parser.add_argument("check", choices=["calibration", "warm-restart"])
+    parser.add_argument("check",
+                        choices=["calibration", "warm-restart", "loadgen"])
     parser.add_argument("--store", help="warm-restart store file to keep")
+    parser.add_argument("--loadgen", help="loadgen: bench_loadgen binary")
+    parser.add_argument("--out", help="loadgen: file for its JSON")
     args = parser.parse_args()
+    if args.check == "loadgen" and not args.loadgen:
+        parser.error("loadgen needs --loadgen=PATH")
     if args.check == "calibration":
         calibration(args.binary)
+    elif args.check == "loadgen":
+        loadgen(args.binary, args.loadgen, args.out)
     elif args.store:
         os.makedirs(os.path.dirname(os.path.abspath(args.store)),
                     exist_ok=True)
