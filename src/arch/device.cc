@@ -17,9 +17,11 @@ namespace {
 
 constexpr int kMaxCalibrationVersion = 1'000'000'000;
 
+using DeviceMap = std::map<std::string, std::shared_ptr<const Device>>;
+
 /** The registry's names, sorted (the map's order). */
 std::vector<std::string>
-namesOf(const std::map<std::string, Device> &devices)
+namesOf(const DeviceMap &devices)
 {
     std::vector<std::string> out;
     out.reserve(devices.size());
@@ -32,9 +34,9 @@ namesOf(const std::map<std::string, Device> &devices)
 
 /** The registry entry under @p name (const or not, as @p devices is);
  *  FatalError listing every registered name when there is none. */
-template <class DeviceMap>
+template <class Map>
 auto &
-findDevice(DeviceMap &devices, const std::string &name)
+findDevice(Map &devices, const std::string &name)
 {
     const auto it = devices.find(name);
     QFATAL_IF(it == devices.end(), "unknown device '", name,
@@ -361,6 +363,28 @@ DeviceCalibration::operator==(const DeviceCalibration &o) const
            readoutError == o.readoutError && edges == o.edges;
 }
 
+std::uint64_t
+topologyFingerprint(const Topology &topo)
+{
+    Fingerprinter f;
+    f.mixString(topo.name());
+    f.mixI32(topo.numUnits());
+    // Canonical edge order: the same coupling graph built by a
+    // different insertion order must fingerprint identically.
+    auto edges = topo.graph().edges();
+    std::sort(edges.begin(), edges.end(),
+              [](const Graph::EdgeRef &a, const Graph::EdgeRef &b) {
+                  return a.u != b.u ? a.u < b.u : a.v < b.v;
+              });
+    f.mixU64(edges.size());
+    for (const auto &e : edges) {
+        f.mixI32(e.u);
+        f.mixI32(e.v);
+        f.mixDouble(e.w);
+    }
+    return f.value();
+}
+
 // ------------------------------------------------------------------
 // DeviceRegistry
 // ------------------------------------------------------------------
@@ -389,9 +413,9 @@ DeviceRegistry::info() const
     std::vector<DeviceInfo> out;
     out.reserve(devices_.size());
     for (const auto &[name, dev] : devices_) {
-        out.push_back({name, dev.topology.numUnits(),
-                       dev.topology.numEdges(),
-                       dev.calibration != nullptr, dev.calVersion});
+        out.push_back({name, dev->topology.numUnits(),
+                       dev->topology.numEdges(),
+                       dev->calibration != nullptr, dev->calVersion});
     }
     return out;
 }
@@ -403,8 +427,8 @@ DeviceRegistry::has(const std::string &name) const
     return devices_.count(name) != 0;
 }
 
-Device
-DeviceRegistry::get(const std::string &name) const
+std::shared_ptr<const Device>
+DeviceRegistry::snapshot(const std::string &name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return findDevice(devices_, name);
@@ -414,11 +438,13 @@ void
 DeviceRegistry::add(const std::string &name, Topology topo)
 {
     QFATAL_IF(name.empty(), "device name must not be empty");
+    const std::uint64_t topo_fp = topologyFingerprint(topo);
+    auto dev = std::make_shared<const Device>(
+        Device{name, std::move(topo), nullptr, 0, topo_fp, 0});
     std::lock_guard<std::mutex> lk(mu_);
     QFATAL_IF(devices_.count(name) != 0, "device '", name,
               "' is already registered");
-    devices_.emplace(name,
-                     Device{name, std::move(topo), nullptr, 0});
+    devices_.emplace(name, std::move(dev));
 }
 
 void
@@ -436,23 +462,31 @@ std::uint64_t
 DeviceRegistry::setCalibration(const std::string &name,
                                DeviceCalibration cal)
 {
+    const std::uint64_t cal_fp = cal.fingerprint();
     std::lock_guard<std::mutex> lk(mu_);
-    Device &dev = findDevice(devices_, name);
+    std::shared_ptr<const Device> &slot = findDevice(devices_, name);
+    const Topology &topo = slot->topology;
     QFATAL_IF(!cal.device.empty() && cal.device != name, "calibration is "
               "for device '", cal.device, "', not '", name, "'");
-    QFATAL_IF(cal.numUnits() != dev.topology.numUnits(), "calibration "
+    QFATAL_IF(cal.numUnits() != topo.numUnits(), "calibration "
               "covers ", cal.numUnits(), " units but device '", name,
-              "' has ", dev.topology.numUnits());
+              "' has ", topo.numUnits());
     for (const auto &[key, e] : cal.edges) {
         (void)e;
         const UnitId u = static_cast<UnitId>(key >> 32);
         const UnitId v = static_cast<UnitId>(key & 0xffffffffu);
-        QFATAL_IF(!dev.topology.adjacent(u, v), "calibration edge (", u,
+        QFATAL_IF(!topo.adjacent(u, v), "calibration edge (", u,
                   ", ", v, ") is not a coupling of device '", name, "'");
     }
-    dev.calibration =
+    // A new snapshot replaces the old one; holders of the old one keep
+    // the record they resolved against.
+    auto next = std::make_shared<Device>(*slot);
+    next->calibrationFp = cal_fp;
+    next->calibration =
         std::make_shared<const DeviceCalibration>(std::move(cal));
-    return ++dev.calVersion;
+    const std::uint64_t version = ++next->calVersion;
+    slot = std::move(next);
+    return version;
 }
 
 } // namespace qompress

@@ -33,8 +33,9 @@
  * cross-unit gates on that coupling (in (0, 1]); dur scales their
  * duration (in (0, 1000]).
  *
- * DeviceRegistry maps device names to {topology, calibration,
- * calVersion}. The default zoo covers the paper's evaluation backends
+ * DeviceRegistry maps device names to immutable snapshots of
+ * {topology, calibration, calVersion} and their fingerprints. The
+ * default zoo covers the paper's evaluation backends
  * plus real-machine shapes: falcon27 (IBM Falcon r5.11 coupling),
  * heavyhex23/65/127 (the heavy-hex family; 65 is the paper's
  * "Ithaca"), ring65, and grid64. Uploading a calibration bumps the
@@ -133,7 +134,17 @@ struct DeviceCalibration
     bool operator==(const DeviceCalibration &o) const;
 };
 
-/** One registered backend: a topology plus its current calibration. */
+/** Content fingerprint of a topology: name, unit count, and the
+ *  sorted weighted edge list (insertion order does not matter). The
+ *  service mixes it into every cache key. */
+std::uint64_t topologyFingerprint(const Topology &topo);
+
+/**
+ * One registered backend: a topology plus its current calibration.
+ * The registry hands out immutable snapshots of it; both fingerprints
+ * are computed once, when the snapshot is built, so a request keyed
+ * against a device never re-hashes its topology or calibration.
+ */
 struct Device
 {
     std::string name;
@@ -142,6 +153,10 @@ struct Device
     std::shared_ptr<const DeviceCalibration> calibration;
     /** Bumped on every setCalibration; 0 = never calibrated. */
     std::uint64_t calVersion = 0;
+    /** topologyFingerprint(topology). */
+    std::uint64_t topologyFp = 0;
+    /** calibration->fingerprint(), 0 when uncalibrated. */
+    std::uint64_t calibrationFp = 0;
 };
 
 /** Cheap listing row (no topology copy); feeds /devices and /metrics. */
@@ -157,6 +172,11 @@ struct DeviceInfo
 /**
  * Thread-safe name -> Device map. Default-constructed with the zoo
  * described in the file comment; customs join via add()/addFromFile().
+ *
+ * Each entry is an immutable snapshot (shared_ptr<const Device>):
+ * setCalibration installs a new snapshot instead of mutating the old
+ * one, so a snapshot taken before an update keeps its topology,
+ * calibration and fingerprints for as long as its holder keeps it.
  */
 class DeviceRegistry
 {
@@ -172,10 +192,15 @@ class DeviceRegistry
 
     bool has(const std::string &name) const;
 
-    /** A snapshot of the device (topology and calibration are copies /
-     *  shared immutables -- safe to use without the registry lock).
-     *  @throws FatalError for an unknown name, listing valid ones. */
-    Device get(const std::string &name) const;
+    /** The device's current snapshot, shared without a copy (safe to
+     *  use without the registry lock; a later setCalibration does not
+     *  change it). @throws FatalError for an unknown name, listing
+     *  valid ones. */
+    std::shared_ptr<const Device> snapshot(const std::string &name) const;
+
+    /** A copy of the device's current snapshot. @throws FatalError
+     *  as snapshot(). */
+    Device get(const std::string &name) const { return *snapshot(name); }
 
     /** Register a custom backend. @throws FatalError on a duplicate
      *  name or an empty one. */
@@ -197,7 +222,7 @@ class DeviceRegistry
 
   private:
     mutable std::mutex mu_;
-    std::map<std::string, Device> devices_;
+    std::map<std::string, std::shared_ptr<const Device>> devices_;
 };
 
 } // namespace qompress

@@ -1,10 +1,14 @@
 #include "ir/qasm.hh"
 
-#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hh"
 
@@ -24,29 +28,65 @@ constexpr int kMaxQregSize = 100'000;
  *  can exhaust the stack (a crash the server cannot map to a 4xx). */
 constexpr int kMaxExprDepth = 64;
 
-/** Cursor over the source with line tracking for error messages. */
+/** Stack buffer for the NUL-terminated copy strtod needs; a longer
+ *  literal (legal, if absurd) falls back to a heap copy. */
+constexpr std::size_t kNumberBuffer = 64;
+
+/** @name Character classes
+ * The "C"-locale meaning of isspace/isalpha/isalnum/isdigit, without
+ * the locale table lookups. @{ */
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+constexpr bool
+isAlpha(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+constexpr bool
+isIdentChar(char c)
+{
+    return isAlpha(c) || isDigit(c) || c == '_';
+}
+/** @} */
+
+/** One pass over the source with line tracking for error messages.
+ *  Tokens are views into the source text, which outlives the lexer. */
 class Lexer
 {
   public:
-    explicit Lexer(const std::string &text) : text_(text) {}
+    explicit Lexer(std::string_view text)
+        : pos_(text.data()), end_(text.data() + text.size())
+    {
+    }
 
     int line() const { return line_; }
-    bool atEnd() { skipWhitespace(); return pos_ >= text_.size(); }
+    bool atEnd() { skipWhitespace(); return pos_ == end_; }
 
     char
     peek()
     {
         skipWhitespace();
-        return pos_ < text_.size() ? text_[pos_] : '\0';
+        return pos_ != end_ ? *pos_ : '\0';
     }
 
     char
     get()
     {
         skipWhitespace();
-        QFATAL_IF(pos_ >= text_.size(), "qasm line ", line_,
+        QFATAL_IF(pos_ == end_, "qasm line ", line_,
                   ": unexpected end of input");
-        return advance();
+        return *pos_++; // never a newline: skipWhitespace passed those
     }
 
     void
@@ -58,36 +98,29 @@ class Lexer
     }
 
     /** [A-Za-z_][A-Za-z0-9_]* */
-    std::string
+    std::string_view
     identifier()
     {
         skipWhitespace();
-        QFATAL_IF(pos_ >= text_.size() ||
-                  (!std::isalpha(static_cast<unsigned char>(
-                       text_[pos_])) && text_[pos_] != '_'),
+        QFATAL_IF(pos_ == end_ || (!isAlpha(*pos_) && *pos_ != '_'),
                   "qasm line ", line_, ": expected identifier");
-        std::string out;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '_')) {
-            out += advance();
-        }
-        return out;
+        const char *start = pos_;
+        while (pos_ != end_ && isIdentChar(*pos_))
+            ++pos_;
+        return {start, static_cast<std::size_t>(pos_ - start)};
     }
 
     int
     integer()
     {
         skipWhitespace();
-        QFATAL_IF(pos_ >= text_.size() ||
-                  !std::isdigit(static_cast<unsigned char>(text_[pos_])),
-                  "qasm line ", line_, ": expected integer");
+        QFATAL_IF(pos_ == end_ || !isDigit(*pos_), "qasm line ", line_,
+                  ": expected integer");
         // Accumulate wide and bound every step: `qreg q[99999999999999]`
         // must be a FatalError, not signed-int-overflow UB.
         long long v = 0;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            v = v * 10 + (advance() - '0');
+        while (pos_ != end_ && isDigit(*pos_)) {
+            v = v * 10 + (*pos_++ - '0');
             QFATAL_IF(v > kMaxIntLiteral, "qasm line ", line_,
                       ": integer literal exceeds ", kMaxIntLiteral);
         }
@@ -98,74 +131,75 @@ class Lexer
     number()
     {
         skipWhitespace();
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E' ||
-                ((text_[end] == '+' || text_[end] == '-') && end > pos_ &&
-                 (text_[end - 1] == 'e' || text_[end - 1] == 'E')))) {
+        const char *end = pos_;
+        while (end != end_ &&
+               (isDigit(*end) || *end == '.' || *end == 'e' ||
+                *end == 'E' ||
+                ((*end == '+' || *end == '-') && end != pos_ &&
+                 (end[-1] == 'e' || end[-1] == 'E')))) {
             ++end;
         }
         QFATAL_IF(end == pos_, "qasm line ", line_, ": expected number");
-        const std::string tok = text_.substr(pos_, end - pos_);
-        while (pos_ < end)
-            advance();
-        // stod() happily parses a prefix ("1.2.3" -> 1.2) or throws a
-        // context-free exception ("1e"); demand full-token consumption
-        // so malformed literals fail loudly with the line number.
-        try {
-            std::size_t consumed = 0;
-            const double v = std::stod(tok, &consumed);
-            QFATAL_IF(consumed != tok.size(), "qasm line ", line_,
-                      ": bad number '", tok, "'");
-            return v;
-        } catch (const FatalError &) {
-            throw;
-        } catch (const std::exception &) {
-            QFATAL("qasm line ", line_, ": bad number '", tok, "'");
+        const std::string_view tok(pos_,
+                                   static_cast<std::size_t>(end - pos_));
+        pos_ = end;
+        // strtod wants a terminated string; copy the delimited token.
+        char buf[kNumberBuffer];
+        std::string heap;
+        const char *str = buf;
+        if (tok.size() < sizeof buf) {
+            std::memcpy(buf, tok.data(), tok.size());
+            buf[tok.size()] = '\0';
+        } else {
+            heap.assign(tok);
+            str = heap.c_str();
         }
+        // A bare strtod happily parses a prefix ("1.2.3" -> 1.2);
+        // demand full-token consumption so malformed literals fail
+        // loudly with the line number, and reject over- and underflow
+        // ("1e400", "1e-400") as stod does.
+        char *stop = nullptr;
+        errno = 0;
+        const double v = std::strtod(str, &stop);
+        QFATAL_IF(stop != str + tok.size() || errno == ERANGE,
+                  "qasm line ", line_, ": bad number '", tok, "'");
+        return v;
     }
 
     /** Skip to just past the next ';'. */
     void
     skipStatement()
     {
-        while (pos_ < text_.size() && text_[pos_] != ';')
-            advance();
-        if (pos_ < text_.size())
-            advance();
+        while (pos_ != end_ && *pos_ != ';') {
+            if (*pos_++ == '\n')
+                ++line_;
+        }
+        if (pos_ != end_)
+            ++pos_;
     }
 
   private:
-    char
-    advance()
-    {
-        const char c = text_[pos_++];
-        if (c == '\n')
-            ++line_;
-        return c;
-    }
-
     void
     skipWhitespace()
     {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isspace(static_cast<unsigned char>(c))) {
-                advance();
-            } else if (c == '/' && pos_ + 1 < text_.size() &&
-                       text_[pos_ + 1] == '/') {
-                while (pos_ < text_.size() && text_[pos_] != '\n')
-                    advance();
+        while (pos_ != end_) {
+            const char c = *pos_;
+            if (isSpace(c)) {
+                if (c == '\n')
+                    ++line_;
+                ++pos_;
+            } else if (c == '/' && pos_ + 1 != end_ && pos_[1] == '/') {
+                // The comment's newline is left for the next round.
+                while (pos_ != end_ && *pos_ != '\n')
+                    ++pos_;
             } else {
                 break;
             }
         }
     }
 
-    const std::string &text_;
-    std::size_t pos_ = 0;
+    const char *pos_;
+    const char *end_;
     int line_ = 1;
 };
 
@@ -238,8 +272,8 @@ class ExprParser
             lex_.expect(')');
             return v;
         }
-        if (std::isalpha(static_cast<unsigned char>(lex_.peek()))) {
-            const std::string id = lex_.identifier();
+        if (isAlpha(lex_.peek())) {
+            const std::string_view id = lex_.identifier();
             QFATAL_IF(id != "pi", "qasm line ", lex_.line(),
                       ": unknown constant '", id, "'");
             return M_PI;
@@ -251,21 +285,26 @@ class ExprParser
     int depth_ = 0;
 };
 
-const std::map<std::string, GateType> &
-gateTable()
+/** The gate a statement keyword names, or nullptr for none. */
+const GateType *
+gateNamed(std::string_view word)
 {
-    static const std::map<std::string, GateType> table = {
-        {"x", GateType::X},     {"y", GateType::Y},
-        {"z", GateType::Z},     {"h", GateType::H},
-        {"s", GateType::S},     {"sdg", GateType::Sdg},
-        {"t", GateType::T},     {"tdg", GateType::Tdg},
-        {"rx", GateType::RX},   {"ry", GateType::RY},
-        {"rz", GateType::RZ},   {"cx", GateType::CX},
-        {"CX", GateType::CX},   {"cz", GateType::CZ},
+    static constexpr std::pair<std::string_view, GateType> kGates[] = {
+        {"x", GateType::X},       {"y", GateType::Y},
+        {"z", GateType::Z},       {"h", GateType::H},
+        {"s", GateType::S},       {"sdg", GateType::Sdg},
+        {"t", GateType::T},       {"tdg", GateType::Tdg},
+        {"rx", GateType::RX},     {"ry", GateType::RY},
+        {"rz", GateType::RZ},     {"cx", GateType::CX},
+        {"CX", GateType::CX},     {"cz", GateType::CZ},
         {"swap", GateType::Swap}, {"ccx", GateType::CCX},
         {"toffoli", GateType::CCX},
     };
-    return table;
+    for (const auto &[name, type] : kGates) {
+        if (name == word)
+            return &type;
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -276,7 +315,7 @@ parseQasm(const std::string &text, const std::string &name)
     Lexer lex(text);
 
     // Header: OPENQASM 2.0; (optional) include "...";
-    std::string first = lex.identifier();
+    const std::string_view first = lex.identifier();
     QFATAL_IF(first != "OPENQASM", "qasm line ", lex.line(),
               ": expected OPENQASM header, got '", first, "'");
     const double version = lex.number();
@@ -284,23 +323,23 @@ parseQasm(const std::string &text, const std::string &name)
               ": unsupported OPENQASM version (only 2.0)");
     lex.expect(';');
 
-    std::string qreg_name;
-    int num_qubits = -1;
-    std::vector<Gate> gates;
+    // Gates append straight into the circuit, built at the qreg.
+    std::string_view qreg_name;
+    std::optional<Circuit> circuit;
 
     while (!lex.atEnd()) {
-        const std::string word = lex.identifier();
+        const std::string_view word = lex.identifier();
         if (word == "include" || word == "creg" || word == "barrier" ||
             word == "measure" || word == "reset") {
             lex.skipStatement();
             continue;
         }
         if (word == "qreg") {
-            QFATAL_IF(num_qubits != -1, "qasm line ", lex.line(),
+            QFATAL_IF(circuit, "qasm line ", lex.line(),
                       ": multiple qreg declarations are not supported");
             qreg_name = lex.identifier();
             lex.expect('[');
-            num_qubits = lex.integer();
+            const int num_qubits = lex.integer();
             lex.expect(']');
             lex.expect(';');
             QFATAL_IF(num_qubits < 1, "qasm line ", lex.line(),
@@ -308,17 +347,18 @@ parseQasm(const std::string &text, const std::string &name)
             QFATAL_IF(num_qubits > kMaxQregSize, "qasm line ",
                       lex.line(), ": qreg size ", num_qubits,
                       " exceeds the supported maximum ", kMaxQregSize);
+            circuit.emplace(num_qubits, name);
             continue;
         }
 
         // Gate application.
-        const auto it = gateTable().find(word);
-        QFATAL_IF(it == gateTable().end(), "qasm line ", lex.line(),
+        const GateType *type = gateNamed(word);
+        QFATAL_IF(!type, "qasm line ", lex.line(),
                   ": unsupported statement or gate '", word, "'");
-        QFATAL_IF(num_qubits == -1, "qasm line ", lex.line(),
+        QFATAL_IF(!circuit, "qasm line ", lex.line(),
                   ": gate before qreg declaration");
         Gate g;
-        g.type = it->second;
+        g.type = *type;
         if (lex.peek() == '(') {
             QFATAL_IF(!gateHasParam(g.type), "qasm line ", lex.line(),
                       ": gate '", word, "' takes no parameter");
@@ -330,16 +370,18 @@ parseQasm(const std::string &text, const std::string &name)
             QFATAL_IF(gateHasParam(g.type), "qasm line ", lex.line(),
                       ": gate '", word, "' requires a parameter");
         }
-        for (int i = 0; i < gateArity(g.type); ++i) {
+        const int arity = gateArity(g.type);
+        g.qubits.reserve(static_cast<std::size_t>(arity));
+        for (int i = 0; i < arity; ++i) {
             if (i > 0)
                 lex.expect(',');
-            const std::string reg = lex.identifier();
+            const std::string_view reg = lex.identifier();
             QFATAL_IF(reg != qreg_name, "qasm line ", lex.line(),
                       ": unknown register '", reg, "'");
             lex.expect('[');
             const int q = lex.integer();
             lex.expect(']');
-            QFATAL_IF(q >= num_qubits, "qasm line ", lex.line(),
+            QFATAL_IF(q >= circuit->numQubits(), "qasm line ", lex.line(),
                       ": qubit index ", q, " out of range");
             // A gate may not name the same qubit twice (`cx q[0],q[0]`
             // is not unitary over distinct wires); catching it here
@@ -352,14 +394,11 @@ parseQasm(const std::string &text, const std::string &name)
             g.qubits.push_back(q);
         }
         lex.expect(';');
-        gates.push_back(std::move(g));
+        circuit->add(std::move(g));
     }
 
-    QFATAL_IF(num_qubits == -1, "qasm: no qreg declaration found");
-    Circuit circuit(num_qubits, name);
-    for (auto &g : gates)
-        circuit.add(std::move(g));
-    return circuit;
+    QFATAL_IF(!circuit, "qasm: no qreg declaration found");
+    return std::move(*circuit);
 }
 
 Circuit

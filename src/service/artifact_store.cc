@@ -421,11 +421,14 @@ ArtifactStore::loadStatus(const ArtifactKey &key,
     return StoreStatus::Ok;
 }
 
-bool
-ArtifactStore::contains(const ArtifactKey &key)
+std::optional<std::uint64_t>
+ArtifactStore::blobSize(const ArtifactKey &key)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return index_.count(key) > 0;
+    const auto it = index_.find(key);
+    if (it == index_.end())
+        return std::nullopt;
+    return it->second.size;
 }
 
 bool

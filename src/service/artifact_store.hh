@@ -55,6 +55,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -130,7 +131,11 @@ class ArtifactStore
         return loadStatus(key, out) == StoreStatus::Ok;
     }
 
-    bool contains(const ArtifactKey &key);
+    /** Size of the blob indexed under @p key, or nullopt when the key
+     *  has no live record. An index lookup: no disk I/O. */
+    std::optional<std::uint64_t> blobSize(const ArtifactKey &key);
+
+    bool contains(const ArtifactKey &key) { return blobSize(key).has_value(); }
 
     /**
      * Cheap health probe: re-read the 8-byte store header and verify

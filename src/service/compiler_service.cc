@@ -28,28 +28,6 @@ diskTierStateName(DiskTierState state)
 // ------------------------------------------------------------------
 
 std::uint64_t
-topologyFingerprint(const Topology &topo)
-{
-    Fingerprinter f;
-    f.mixString(topo.name());
-    f.mixI32(topo.numUnits());
-    // Canonical edge order: the same coupling graph built by a
-    // different insertion order must fingerprint identically.
-    auto edges = topo.graph().edges();
-    std::sort(edges.begin(), edges.end(),
-              [](const Graph::EdgeRef &a, const Graph::EdgeRef &b) {
-                  return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
-    f.mixU64(edges.size());
-    for (const auto &e : edges) {
-        f.mixI32(e.u);
-        f.mixI32(e.v);
-        f.mixDouble(e.w);
-    }
-    return f.value();
-}
-
-std::uint64_t
 libraryFingerprint(const GateLibrary &lib)
 {
     Fingerprinter f;
@@ -68,6 +46,13 @@ libraryFingerprint(const GateLibrary &lib)
 std::uint64_t
 configFingerprint(const CompilerConfig &cfg)
 {
+    return configFingerprint(
+        cfg, cfg.calibration ? cfg.calibration->fingerprint() : 0);
+}
+
+std::uint64_t
+configFingerprint(const CompilerConfig &cfg, std::uint64_t calibration_fp)
+{
     Fingerprinter f;
     f.mixI32(cfg.chargeInitialEnc ? 1 : 0);
     f.mixDouble(cfg.throughQuquartPenalty);
@@ -81,7 +66,7 @@ configFingerprint(const CompilerConfig &cfg)
     // disk key priced against the old record -- the partial-
     // invalidation contract, extended to devices. Null (uncalibrated)
     // mixes a fixed 0 so pre-device keys are preserved.
-    f.mixU64(cfg.calibration ? cfg.calibration->fingerprint() : 0);
+    f.mixU64(calibration_fp);
     // cfg.threads deliberately excluded: results are lane-invariant,
     // so requests differing only in lane count share one artifact.
     return f.value();
@@ -273,21 +258,31 @@ CompileArtifact
 CompilerService::compileImpl(const CompileRequest &req)
 {
     // A by-name request resolves against the registry first: the
-    // device's topology and CURRENT calibration replace the request's
-    // own, then the request proceeds as an ordinary content-addressed
-    // compile. Because the calibration is part of configFingerprint,
-    // a calibration update naturally re-keys every subsequent request
-    // for that device (and only that device). The recursion happens
-    // before any counter is touched, so the request still counts once.
+    // device snapshot's topology and CURRENT calibration replace the
+    // request's own, then the request proceeds as an ordinary
+    // content-addressed compile. Because the calibration is part of
+    // configFingerprint, a calibration update naturally re-keys every
+    // subsequent request for that device (and only that device). The
+    // snapshot is shared, not copied, and carries both fingerprints,
+    // so resolving costs one lookup and one config copy.
     if (!req.device.empty()) {
-        Device dev = devices_.get(req.device);
-        CompileRequest resolved = req;
-        resolved.device.clear();
-        resolved.topology = std::move(dev.topology);
-        resolved.config.calibration = std::move(dev.calibration);
-        return compileImpl(resolved);
+        const std::shared_ptr<const Device> dev =
+            devices_.snapshot(req.device);
+        CompilerConfig cfg = req.config;
+        cfg.calibration = dev->calibration;
+        return compileTarget(
+            req, {dev->topology, cfg, dev->topologyFp,
+                  configFingerprint(cfg, dev->calibrationFp)});
     }
+    return compileTarget(req, {req.topology, req.config,
+                               topologyFingerprint(req.topology),
+                               configFingerprint(req.config)});
+}
 
+CompileArtifact
+CompilerService::compileTarget(const CompileRequest &req,
+                               const Target &target)
+{
     // Resolve the circuit first: the memo key hashes its content.
     std::optional<Circuit> resolved;
     const Circuit *circuit = nullptr;
@@ -300,9 +295,9 @@ CompilerService::compileImpl(const CompileRequest &req)
 
     RequestKey key;
     key.circuit = circuitFingerprint(*circuit);
-    key.topo = topologyFingerprint(req.topology);
+    key.topo = target.topoFp;
     key.lib = libraryFingerprint(req.library);
-    key.cfg = configFingerprint(req.config);
+    key.cfg = target.cfgFp;
     key.strategy = req.strategy;
     Fingerprinter cf;
     cf.mixU64(key.topo);
@@ -417,9 +412,9 @@ CompilerService::compileImpl(const CompileRequest &req)
             // template was built under this same calibration.
             artifact = std::make_shared<const CompileResult>(
                 rebindTemplate(*tmpl, *circuit, req.library,
-                               req.config.calibration.get()));
+                               target.cfg.calibration.get()));
         } else {
-            artifact = compileUncached(req, *circuit, ctx_fp);
+            artifact = compileUncached(req, target, *circuit, ctx_fp);
         }
     } catch (...) {
         std::lock_guard<std::mutex> lk(mu_);
@@ -438,20 +433,29 @@ CompilerService::compileImpl(const CompileRequest &req)
     // Serialize once, outside the lock, and only when somebody needs
     // the bytes: the store (write-behind) or the byte budget (charge).
     // With both features off the encode is skipped so the memo-only
-    // hot path stays exactly as cheap as before this tier existed.
-    const bool charge = opts_.cacheBytesCapacity > 0;
-    if (!from_disk && (store_ || charge))
-        blob = encodeCompileResult(*artifact);
+    // hot path stays exactly as cheap as before this tier existed. A
+    // key the store already indexes (every template hit on a warm
+    // store) is neither re-encoded nor rewritten: compiles are
+    // deterministic, so its record's size is the encoded size.
+    std::size_t bytes = blob.size();
     bool wrote = false;
-    if (store_ && !from_disk && !store_->contains(key) && admitDiskWrite()) {
-        wrote = store_->put(key, blob);
-        std::lock_guard<std::mutex> lk(mu_);
-        if (wrote)
-            noteStoreSuccessLocked();
-        else
-            noteStoreErrorLocked();
+    if (!from_disk) {
+        const auto stored = store_ ? store_->blobSize(key) : std::nullopt;
+        if (stored) {
+            bytes = static_cast<std::size_t>(*stored);
+        } else if (store_ || opts_.cacheBytesCapacity > 0) {
+            blob = encodeCompileResult(*artifact);
+            bytes = blob.size();
+            if (store_ && admitDiskWrite()) {
+                wrote = store_->put(key, blob);
+                std::lock_guard<std::mutex> lk(mu_);
+                if (wrote)
+                    noteStoreSuccessLocked();
+                else
+                    noteStoreErrorLocked();
+            }
+        }
     }
-    const std::size_t bytes = blob.size();
 
     // Extract a template from a successful full compile OR disk load
     // of an eligible request (outside the lock: the binding walk is
@@ -487,19 +491,20 @@ CompilerService::compileImpl(const CompileRequest &req)
 
 CompileArtifact
 CompilerService::compileUncached(const CompileRequest &req,
+                                 const Target &target,
                                  const Circuit &circuit,
                                  std::uint64_t ctx_fp)
 {
     // makeStrategy first: an unknown name must fail before a context
     // is built for it.
     const auto strategy = makeStrategy(req.strategy);
-    auto pc = acquireContext(req, ctx_fp);
+    auto pc = acquireContext(target, req.library, ctx_fp);
     // The compile runs against the pooled copies (the context holds
     // pointers into them) but the *caller's* config, so per-request
     // knobs the context does not price (threads) are honored. The two
     // configs agree on every pricing field by construction of ctx_fp.
     CompileResult res = strategy->compile(circuit, pc->topo, pc->lib,
-                                          req.config, &*pc->ctx);
+                                          target.cfg, &*pc->ctx);
     // Pool the context (with its warmed distance fields) only on
     // success; a compile that threw may leave it mid-mutation.
     releaseContext(std::move(pc));
@@ -507,7 +512,8 @@ CompilerService::compileUncached(const CompileRequest &req,
 }
 
 std::unique_ptr<CompilerService::PooledContext>
-CompilerService::acquireContext(const CompileRequest &req,
+CompilerService::acquireContext(const Target &target,
+                                const GateLibrary &lib,
                                 std::uint64_t ctx_fp)
 {
     {
@@ -519,8 +525,8 @@ CompilerService::acquireContext(const CompileRequest &req,
             // or config content — those rest on the fingerprint alone
             // (see the Fingerprinter doc for the accepted trade).
             if ((*it)->fp == ctx_fp &&
-                (*it)->topo.numUnits() == req.topology.numUnits() &&
-                (*it)->topo.name() == req.topology.name()) {
+                (*it)->topo.numUnits() == target.topo.numUnits() &&
+                (*it)->topo.name() == target.topo.name()) {
                 auto pc = std::move(*it);
                 idle_.erase(std::next(it).base());
                 ++contextsReused_;
@@ -530,8 +536,8 @@ CompilerService::acquireContext(const CompileRequest &req,
         ++contextsCreated_;
     }
     // Build outside the lock: graph expansion is the expensive part.
-    return std::make_unique<PooledContext>(ctx_fp, req.topology,
-                                           req.library, req.config);
+    return std::make_unique<PooledContext>(ctx_fp, target.topo, lib,
+                                           target.cfg);
 }
 
 void

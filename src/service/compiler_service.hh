@@ -105,11 +105,9 @@ const char *diskTierStateName(DiskTierState state);
 
 /** @name Component fingerprints
  * Content hashes of the non-circuit compile inputs (the circuit hash
- * is ir/fingerprint.hh's circuitFingerprint). Two values are equal
- * exactly when the components are compile-equivalent. @{ */
-
-/** Name, unit count, and the sorted weighted edge list. */
-std::uint64_t topologyFingerprint(const Topology &topo);
+ * is ir/fingerprint.hh's circuitFingerprint; the topology hash is
+ * arch/device.hh's topologyFingerprint). Two values are equal exactly
+ * when the components are compile-equivalent. @{ */
 
 /** Every per-class duration and fidelity plus both T1 times. */
 std::uint64_t libraryFingerprint(const GateLibrary &lib);
@@ -121,6 +119,13 @@ std::uint64_t libraryFingerprint(const GateLibrary &lib);
  * and contexts.
  */
 std::uint64_t configFingerprint(const CompilerConfig &cfg);
+
+/** configFingerprint(cfg) with the calibration's fingerprint supplied
+ *  by the caller (a device snapshot caches it) instead of recomputed:
+ *  @p calibration_fp must be cfg.calibration->fingerprint(), or 0
+ *  when cfg.calibration is null. */
+std::uint64_t configFingerprint(const CompilerConfig &cfg,
+                                std::uint64_t calibration_fp);
 /** @} */
 
 /**
@@ -438,8 +443,24 @@ class CompilerService
 
     using TemplatePtr = std::shared_ptr<const CompiledTemplate>;
 
+    /** What a request compiles against, by reference: its own
+     *  topology and config, or a registered device's snapshot topology
+     *  and a config carrying its calibration (both outlive the
+     *  compile). For a device, the fingerprints come from the
+     *  snapshot's cached topology and calibration hashes. */
+    struct Target
+    {
+        const Topology &topo;
+        const CompilerConfig &cfg;
+        std::uint64_t topoFp; ///< topologyFingerprint(topo)
+        std::uint64_t cfgFp;  ///< configFingerprint(cfg)
+    };
+
     CompileArtifact compileImpl(const CompileRequest &req);
+    CompileArtifact compileTarget(const CompileRequest &req,
+                                  const Target &target);
     CompileArtifact compileUncached(const CompileRequest &req,
+                                    const Target &target,
                                     const Circuit &circuit,
                                     std::uint64_t ctx_fp);
 
@@ -456,7 +477,8 @@ class CompilerService
     void noteStoreSuccessLocked();
     /** @} */
     CompileHandle submitOn(ThreadPool *pool, CompileRequest req);
-    std::unique_ptr<PooledContext> acquireContext(const CompileRequest &req,
+    std::unique_ptr<PooledContext> acquireContext(const Target &target,
+                                                  const GateLibrary &lib,
                                                   std::uint64_t ctx_fp);
     void releaseContext(std::unique_ptr<PooledContext> pc);
 

@@ -32,6 +32,7 @@
 #include "circuits/bv.hh"
 #include "circuits/qaoa.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "graph/algorithms.hh"
 #include "service/compiler_service.hh"
 #include "strategies/strategy.hh"
@@ -436,6 +437,95 @@ TEST(DeviceRegistry, SetCalibrationValidatesAndVersions)
     ASSERT_NE(dev.calibration, nullptr);
     EXPECT_EQ(dev.calVersion, 2u);
     EXPECT_TRUE(*dev.calibration == cal);
+}
+
+/** A calibration for @p dev with per-unit T1/readout values and edge
+ *  scales on about half of its couplings, all drawn from @p rng. */
+DeviceCalibration
+randomCalibration(const Device &dev, Rng &rng)
+{
+    const int units = dev.topology.numUnits();
+    DeviceCalibration cal =
+        DeviceCalibration::uniform(dev.name, units, 1.0, 1.0);
+    for (int u = 0; u < units; ++u) {
+        const auto k = static_cast<std::size_t>(u);
+        cal.t1QubitNs[k] = rng.nextDouble(5e4, 2e5);
+        cal.t1QuquartNs[k] = rng.nextDouble(1e4, 8e4);
+        cal.readoutError[k] = rng.nextDouble(0.0, 0.05);
+    }
+    for (const auto &e : dev.topology.graph().edges()) {
+        if (rng.nextBool())
+            cal.setEdge(e.u, e.v, rng.nextDouble(0.9, 1.0),
+                        rng.nextDouble(0.5, 2.0));
+    }
+    return cal;
+}
+
+TEST(DeviceRegistry, SnapshotIsUnchangedByLaterCalibration)
+{
+    DeviceRegistry reg;
+    const std::shared_ptr<const Device> before = reg.snapshot("falcon27");
+    const Topology topo = before->topology;
+    const std::uint64_t topo_fp = before->topologyFp;
+
+    const auto cal = DeviceCalibration::uniform("falcon27", 27, 120000.0,
+                                                40000.0, 0.01);
+    EXPECT_EQ(reg.setCalibration("falcon27", cal), 1u);
+
+    // The old snapshot still describes the uncalibrated device...
+    EXPECT_EQ(before->calibration, nullptr);
+    EXPECT_EQ(before->calVersion, 0u);
+    EXPECT_EQ(before->calibrationFp, 0u);
+    EXPECT_EQ(before->topologyFp, topo_fp);
+    EXPECT_EQ(topologyFingerprint(before->topology),
+              topologyFingerprint(topo));
+
+    // ...while new snapshots (and get() copies) see the install.
+    const std::shared_ptr<const Device> after = reg.snapshot("falcon27");
+    EXPECT_NE(after, before);
+    ASSERT_NE(after->calibration, nullptr);
+    EXPECT_TRUE(*after->calibration == cal);
+    EXPECT_EQ(after->calVersion, 1u);
+    EXPECT_EQ(after->topologyFp, topo_fp);
+    EXPECT_EQ(after->calibrationFp, cal.fingerprint());
+    const Device copy = reg.get("falcon27");
+    EXPECT_EQ(copy.calibration, after->calibration);
+    EXPECT_EQ(copy.calibrationFp, after->calibrationFp);
+
+    // A snapshot is shared, not rebuilt, until the next install.
+    EXPECT_EQ(reg.snapshot("falcon27"), after);
+}
+
+TEST(DeviceRegistry, CachedFingerprintsMatchFreshOnes)
+{
+    DeviceRegistry reg;
+    const std::string path = ::testing::TempDir() + "qompress_dev.txt";
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs("# a 5-unit ring with a chord\n0 1\n1 2\n2 3\n3 4\n"
+                   "4 0\n0 2\n",
+                   f);
+        std::fclose(f);
+    }
+    reg.addFromFile("custom5", path);
+    std::remove(path.c_str());
+
+    Rng rng(0xfee1ULL);
+    for (const std::string &name : reg.names()) {
+        const auto dev = reg.snapshot(name);
+        EXPECT_EQ(dev->topologyFp, topologyFingerprint(dev->topology))
+            << name;
+        EXPECT_EQ(dev->calibrationFp, 0u) << name;
+        for (int round = 0; round < 3; ++round) {
+            reg.setCalibration(name, randomCalibration(*dev, rng));
+            const auto cal = reg.snapshot(name);
+            ASSERT_NE(cal->calibration, nullptr) << name;
+            EXPECT_EQ(cal->calibrationFp, cal->calibration->fingerprint())
+                << name << " round " << round;
+            EXPECT_EQ(cal->topologyFp, dev->topologyFp) << name;
+        }
+    }
 }
 
 // ------------------------------------------------------------------

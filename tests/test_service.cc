@@ -590,6 +590,59 @@ TEST(ServiceDiskTier, RebindArtifactsArePersistedToo)
     std::remove(path.c_str());
 }
 
+TEST(ServiceDiskTier, TemplateHitsOnStoredKeysAreNotRewritten)
+{
+    const std::string path = serviceStorePath("known_keys");
+    const Topology topo = Topology::grid(6);
+    const std::vector<double> angles = {0.1, 0.2, 0.3, 0.4, 0.5};
+    auto req = [&](double angle) {
+        return CompileRequest::forCircuit(angleCircuit(angle), topo, "eqm");
+    };
+    std::uint64_t store_bytes = 0;
+    {
+        ServiceOptions opts;
+        opts.storePath = path;
+        CompilerService service(opts);
+        for (const double a : angles)
+            service.compileSync(req(a));
+        const ServiceStats s = service.stats();
+        ASSERT_EQ(s.storeRecords, angles.size());
+        store_bytes = s.storeBytes;
+    }
+
+    // A one-entry memo over the stored sweep: the first request loads
+    // from disk and plants the template, every later one is a template
+    // hit whose key the store already indexes. Nothing is written, and
+    // the memo is charged what encoding the artifact would have cost,
+    // whether or not a byte budget is set.
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{1} << 30}) {
+        ServiceOptions opts;
+        opts.storePath = path;
+        opts.cacheCapacity = 1;
+        opts.cacheBytesCapacity = budget;
+        CompilerService service(opts);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const double a : angles) {
+                const CompileArtifact art = service.compileSync(req(a));
+                const ServiceStats s = service.stats();
+                EXPECT_EQ(s.diskWrites, 0u);
+                EXPECT_EQ(s.storeRecords, angles.size());
+                EXPECT_EQ(s.storeBytes, store_bytes);
+                EXPECT_EQ(s.cacheSize, 1u);
+                EXPECT_EQ(s.bytesInUse, encodeCompileResult(*art).size())
+                    << "budget " << budget << " angle " << a;
+                EXPECT_TRUE(partitionHolds(s));
+            }
+        }
+        const ServiceStats s = service.stats();
+        EXPECT_EQ(s.diskHits, 1u);
+        EXPECT_EQ(s.templateHits, 2 * angles.size() - 1);
+        EXPECT_EQ(s.misses, 0u);
+        EXPECT_EQ(s.sizeEvictions, 0u);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(ServiceDiskTier, CorruptStoreRecordFallsBackToCompile)
 {
     const std::string path = serviceStorePath("corrupt");
@@ -624,6 +677,43 @@ TEST(ServiceDiskTier, CorruptStoreRecordFallsBackToCompile)
     EXPECT_EQ(s.misses, 1u);
     EXPECT_TRUE(partitionHolds(s));
     std::remove(path.c_str());
+}
+
+TEST(ServiceDevices, ByNameAndExplicitContentServeTheSameBytes)
+{
+    // A calibrated device requested by name and the same topology and
+    // calibration content sent explicitly resolve to one key: whichever
+    // comes second is a memo hit on the first's artifact.
+    CompilerService svc;
+    auto cal = DeviceCalibration::uniform("grid64", 64, 90000.0, 30000.0,
+                                          0.02);
+    cal.setEdge(0, 1, 0.95, 1.5);
+    cal.setEdge(9, 17, 0.9, 0.8);
+    svc.devices().setCalibration("grid64", cal);
+    const auto dev = svc.devices().snapshot("grid64");
+    CompilerConfig cfg;
+    cfg.calibration = std::make_shared<const DeviceCalibration>(cal);
+
+    std::uint64_t hits = 0;
+    for (const char *strategy : {"eqm", "rb"}) {
+        for (const bool by_name_first : {true, false}) {
+            const Circuit c = bernsteinVazirani(by_name_first ? 10 : 12);
+            const auto by_name =
+                CompileRequest::forDevice(c, "grid64", strategy);
+            const auto by_content = CompileRequest::forCircuit(
+                c, dev->topology, strategy, cfg);
+            const CompileArtifact first =
+                svc.compileSync(by_name_first ? by_name : by_content);
+            const CompileArtifact second =
+                svc.compileSync(by_name_first ? by_content : by_name);
+            EXPECT_EQ(first, second) << strategy;
+            EXPECT_EQ(encodeCompileResult(*first),
+                      encodeCompileResult(*second))
+                << strategy;
+            EXPECT_EQ(svc.stats().hits, ++hits) << strategy;
+        }
+    }
+    EXPECT_TRUE(partitionHolds(svc.stats()));
 }
 
 TEST(ServiceFingerprints, ComponentsDistinguishContent)

@@ -19,7 +19,8 @@ device's warm entry survives, and the counter partition holds.
 warm-restart: boots on an artifact store, replays CATALOG, restarts on
 the same store and replays it again. Boot 1 must leave records in the
 store; boot 2 must answer from the disk tier (diskHits > 0) with zero
-misses, i.e. zero full compiles. --store=PATH serves (and keeps) that
+misses, i.e. zero full compiles, and zero disk writes (keys the store
+already holds are never rewritten). --store=PATH serves (and keeps) that
 store file, as CI does to carry it across runs; without it the store
 lives in a temporary directory.
 
@@ -46,6 +47,9 @@ CATALOG = [
     "/compile?family=bv&sizes=8,10",
     "/compile?family=qaoa_random&sizes=8,10",
     "/compile?family=bv&size=12&strategy=awe",
+    # By-name requests resolve against a registry device snapshot.
+    "/compile?family=qaoa_random&size=10&device=heavyhex65",
+    "/compile?family=bv&size=10&device=grid64&strategy=rb",
 ]
 
 
@@ -120,9 +124,11 @@ def warm_restart(binary, store):
     assert first["storeRecords"] > 0, first
     second = boot_and_replay()
     print(f"boot1 records={first['storeRecords']}; "
-          f"boot2 diskHits={second['diskHits']} misses={second['misses']}")
+          f"boot2 diskHits={second['diskHits']} misses={second['misses']} "
+          f"diskWrites={second['diskWrites']}")
     assert second["diskHits"] > 0, second
     assert second["misses"] == 0, second
+    assert second["diskWrites"] == 0, second
 
 
 def loadgen(binary, loadgen_binary, out):
